@@ -25,6 +25,7 @@ from .exceptions import (
     NotASaddle,
     NumericalError,
     SingularLinearization,
+    StepLimitReached,
     StepSizeUnderflow,
 )
 from .kinetics import (
@@ -110,6 +111,7 @@ __all__ = [
     "ConfigError",
     "ExpressionError",
     "NumericalError",
+    "StepLimitReached",
     "StepSizeUnderflow",
     "NonFiniteState",
     "NotASaddle",

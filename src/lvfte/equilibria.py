@@ -3,10 +3,10 @@
 Interior equilibria are intersections of the two nullclines.  With at least
 one exponent equal to 1 the intersection problem reduces to the roots of a
 smooth scalar function on a bounded interval; roots are located by a dense
-sign scan, refined by bisection, and polished with Newton steps.  For mixed
-fractional exponents (p < 1 and q < 1) the same machinery runs on the
-composition H(u) = u - g1(f(u)), which vanishes exactly at nullcline
-crossings.
+sign scan over one array, refined by bisection, and polished with Newton
+steps.  For mixed fractional exponents (p < 1 and q < 1) the same machinery
+runs on the composition H(u) = u - g1(f(u)), which vanishes exactly at
+nullcline crossings.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .exceptions import InvalidParameter, SingularLinearization
-from .kinetics import KineticParams, Species, State2, rhs, safe_pow
+from .kinetics import KineticParams, Species, State2, rhs, safe_pow, safe_pow_arr
 
 # Absolute tolerance on trace/determinant when deciding hyperbolicity.
 HYPERBOLICITY_TOL = 1e-10
@@ -80,26 +80,29 @@ class NullclineSide:
             raise InvalidParameter(f"parameterization must be 'u' or 'v', got {self.by!r}")
 
 
-def nullcline_value(params: KineticParams, side: NullclineSide, x: float) -> float:
-    """Evaluate the selected nullcline branch at coordinate x >= 0.
+def nullcline_value(params: KineticParams, side: NullclineSide, x):
+    """Evaluate the selected nullcline branch at coordinate x >= 0, a float
+    or, elementwise, a numpy array.
 
     (U, by u): v = f(u)  = u^(1-p) * (a1 - b1*u) / c1
     (V, by u): v = g(u)  = (a2 - c2*u) / b2
     (U, by v): u = f1(v) = (a1 - c1*v) / b1
     (V, by v): u = g1(v) = v^(1-q) * (a2 - b2*v) / c2
     """
-    if not (math.isfinite(x) and x >= 0.0):
+    array = isinstance(x, np.ndarray)
+    if not (np.all(np.isfinite(x) & (x >= 0.0)) if array else math.isfinite(x) and x >= 0.0):
         raise InvalidParameter(f"nullcline coordinate must be finite and >= 0, got {x!r}")
+    power = safe_pow_arr if array else safe_pow
     if side.species is Species.U and side.by == "u":
         expo = 1.0 - params.p
-        factor = 1.0 if expo == 0.0 else safe_pow(x, expo)
+        factor = 1.0 if expo == 0.0 else power(x, expo)
         return factor * (params.a1 - params.b1 * x) / params.c1
     if side.species is Species.V and side.by == "u":
         return (params.a2 - params.c2 * x) / params.b2
     if side.species is Species.U and side.by == "v":
         return (params.a1 - params.c1 * x) / params.b1
     expo = 1.0 - params.q
-    factor = 1.0 if expo == 0.0 else safe_pow(x, expo)
+    factor = 1.0 if expo == 0.0 else power(x, expo)
     return factor * (params.a2 - params.b2 * x) / params.c2
 
 
@@ -247,31 +250,27 @@ def scalar_roots(
 ) -> List[float]:
     """All roots of a smooth scalar function on the open interval (lo, hi).
 
-    Dense sign scan + bisection + Newton polish; grazing double roots (no
-    sign change, |fn| dipping to ~0) are detected at local minima of |fn|
-    and reported once.
+    fn takes a float or, elementwise, a numpy array.  Dense sign scan of
+    fn over one array of points, then bisection + Newton polish on floats;
+    grazing double roots (no sign change, |fn| dipping to ~0) are detected
+    at local minima of |fn| and reported once.
     """
     xs = np.linspace(lo, hi, points + 2)[1:-1]
-    fs = np.array([fn(x) for x in xs])
+    fs = np.asarray(fn(xs), dtype=float)
     scale = float(np.max(np.abs(fs))) or 1.0
-    roots: List[float] = []
-    for i in range(len(xs) - 1):
-        a, b = fs[i], fs[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0.0:
-            roots.append(_refine_bracket(fn, float(xs[i]), float(xs[i + 1])))
-    if fs[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots: List[float] = [float(x) for x in xs[fs == 0.0]]
+    for i in np.flatnonzero(fs[:-1] * fs[1:] < 0.0):
+        roots.append(_refine_bracket(fn, float(xs[i]), float(xs[i + 1])))
     # Grazing roots: interior local minima of |fn| that nearly vanish but
     # carry no sign change around them.
     absfs = np.abs(fs)
-    for i in range(1, len(xs) - 1):
-        if absfs[i] <= absfs[i - 1] and absfs[i] <= absfs[i + 1]:
-            if absfs[i] < 1e-9 * scale and fs[i - 1] * fs[i + 1] > 0.0 and fs[i] != 0.0:
-                x = _refine_tangency(fn, float(xs[i - 1]), float(xs[i + 1]))
-                if abs(fn(x)) <= 1e-10 * scale:
-                    roots.append(x)
+    mid = absfs[1:-1]
+    grazing = (mid <= absfs[:-2]) & (mid <= absfs[2:]) & (mid < 1e-9 * scale)
+    grazing &= (fs[:-2] * fs[2:] > 0.0) & (fs[1:-1] != 0.0)
+    for i in np.flatnonzero(grazing) + 1:
+        x = _refine_tangency(fn, float(xs[i - 1]), float(xs[i + 1]))
+        if abs(fn(x)) <= 1e-10 * scale:
+            roots.append(x)
     roots.sort()
     deduped: List[float] = []
     tol = DEDUPE_FRACTION * (hi - lo)
@@ -279,6 +278,36 @@ def scalar_roots(
         if not deduped or r - deduped[-1] > tol:
             deduped.append(r)
     return deduped
+
+
+def _crossing(params: KineticParams) -> Tuple[Callable, float, Callable[[float], State2]]:
+    """The function whose roots on (0, hi) locate the nullcline crossings,
+    hi, and the map from such a root to its crossing point.
+
+    The function takes a float or a numpy array, as scalar_roots needs.
+    """
+    f_u = NullclineSide(Species.U, "u")
+    g_u = NullclineSide(Species.V, "u")
+    f1_v = NullclineSide(Species.U, "v")
+    g1_v = NullclineSide(Species.V, "v")
+    if params.q == 1.0:
+        def fn(u):
+            return nullcline_value(params, f_u, u) - nullcline_value(params, g_u, u)
+
+        return fn, params.a1 / params.b1, lambda u: State2(u, nullcline_value(params, g_u, u))
+    if params.p == 1.0:
+        def fn(v):
+            return nullcline_value(params, f1_v, v) - nullcline_value(params, g1_v, v)
+
+        return fn, params.a1 / params.c1, lambda v: State2(nullcline_value(params, f1_v, v), v)
+
+    def fn(u):
+        v = nullcline_value(params, f_u, u)
+        # Outside the admissible strip (v < 0) g1(0) = 0, so fn is u: no crossing.
+        v = np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)
+        return u - nullcline_value(params, g1_v, v)
+
+    return fn, params.a1 / params.b1, lambda u: State2(u, nullcline_value(params, f_u, u))
 
 
 def interior_equilibria(
@@ -293,48 +322,12 @@ def interior_equilibria(
     (0, a1/b1).  Grazing (tangential) intersections are reported once; their
     vanishing Jacobian determinant classifies them NonHyperbolic.
     """
-    f_u = NullclineSide(Species.U, "u")
-    g_u = NullclineSide(Species.V, "u")
-    f1_v = NullclineSide(Species.U, "v")
-    g1_v = NullclineSide(Species.V, "v")
-
-    candidates: List[State2] = []
-    if params.q == 1.0:
-        hi = params.a1 / params.b1
-
-        def fn(u: float) -> float:
-            return nullcline_value(params, f_u, u) - nullcline_value(params, g_u, u)
-
-        for u in scalar_roots(fn, 0.0, hi, scan_points):
-            v = nullcline_value(params, g_u, u)
-            candidates.append(State2(u, v))
-    elif params.p == 1.0:
-        hi = params.a1 / params.c1
-
-        def fn(v: float) -> float:
-            return nullcline_value(params, f1_v, v) - nullcline_value(params, g1_v, v)
-
-        for v in scalar_roots(fn, 0.0, hi, scan_points):
-            u = nullcline_value(params, f1_v, v)
-            candidates.append(State2(u, v))
-    else:
-        hi = params.a1 / params.b1
-
-        def fn(u: float) -> float:
-            v = nullcline_value(params, f_u, u)
-            if v < 0.0:
-                return u  # outside the admissible strip, no crossing here
-            return u - nullcline_value(params, g1_v, v)
-
-        for u in scalar_roots(fn, 0.0, hi, scan_points):
-            v = nullcline_value(params, f_u, u)
-            candidates.append(State2(u, v))
-
-    out: List[Equilibrium] = []
-    for point in candidates:
-        if point.u <= 0.0 or point.v <= 0.0:
-            continue
-        out.append(_classified(params, point, EquilibriumKind.INTERIOR))
+    fn, hi, crossing = _crossing(params)
+    out = [
+        _classified(params, point, EquilibriumKind.INTERIOR)
+        for point in map(crossing, scalar_roots(fn, 0.0, hi, scan_points))
+        if point.u > 0.0 and point.v > 0.0
+    ]
     out.sort(key=lambda e: e.point.u)
     return out
 

@@ -26,18 +26,23 @@ class ExpressionError(ConfigError):
 
 
 class NumericalError(LvfteError):
-    """Base class for runtime numerical failures."""
+    """Base class for runtime numerical failures.
 
-
-class StepSizeUnderflow(NumericalError):
-    """Adaptive step control drove the step below the permitted minimum.
-
-    Carries the partial trajectory computed so far in ``trajectory``.
+    Failures of an ODE integration carry the partial trajectory computed so
+    far in ``trajectory`` (None otherwise).
     """
 
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class StepSizeUnderflow(NumericalError):
+    """Adaptive step control drove the step below the permitted minimum."""
+
+
+class StepLimitReached(NumericalError):
+    """ODE integration used up its max_steps before reaching t_end."""
 
 
 class NonFiniteState(NumericalError):

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .exceptions import InvalidParameter
 
 # Relative tolerance below which a regime-defining inequality counts as a tie.
@@ -53,6 +55,13 @@ def safe_pow(x: float, e: float) -> float:
     if x <= 0.0:
         return 0.0
     return math.pow(x, e)
+
+
+def safe_pow_arr(x: np.ndarray, e: float) -> np.ndarray:
+    """Elementwise x**e treating negatives as 0; identity when e == 1."""
+    if e == 1.0:
+        return x
+    return np.power(np.maximum(x, 0.0), e)
 
 
 @dataclass(frozen=True)

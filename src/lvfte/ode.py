@@ -22,6 +22,7 @@ from .exceptions import (
     InvalidParameter,
     NonFiniteState,
     NotASaddle,
+    StepLimitReached,
     StepSizeUnderflow,
 )
 from .kinetics import (
@@ -61,9 +62,13 @@ _E7 = -1 / 40
 Rhs2 = Callable[[float, float], Tuple[float, float]]
 
 
-def _dp45(f: Rhs2, u: float, v: float, h: float):
-    """One Dormand-Prince step of size h; returns (u5, v5, err_u, err_v)."""
-    k1u, k1v = f(u, v)
+def _dp45(f: Rhs2, u: float, v: float, h: float, k1u: float, k1v: float, last: bool = True):
+    """One Dormand-Prince step of size h from (u, v), given k1 = f(u, v).
+
+    Returns (u5, v5, k7u, k7v, err_u, err_v); k7 = f(u5, v5) is the next
+    step's k1 (first same as last).  last=False skips k7 and the error and
+    returns (u5, v5).
+    """
     k2u, k2v = f(u + h * (_A21 * k1u), v + h * (_A21 * k1v))
     k3u, k3v = f(u + h * (_A31 * k1u + _A32 * k2u), v + h * (_A31 * k1v + _A32 * k2v))
     k4u, k4v = f(
@@ -80,10 +85,21 @@ def _dp45(f: Rhs2, u: float, v: float, h: float):
     )
     u5 = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
     v5 = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    if not last:
+        return u5, v5
     k7u, k7v = f(u5, v5)
     err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
     err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-    return u5, v5, err_u, err_v
+    return u5, v5, k7u, k7v, err_u, err_v
+
+
+def _step_control(u, v, u5, v5, err_u, err_v, rtol, atol) -> Tuple[float, float]:
+    """Scaled RMS error of a step from (u, v) to (u5, v5), and the factor
+    that sizes the next attempt (the retry after a rejection included)."""
+    su = atol + rtol * max(abs(u), abs(u5))
+    sv = atol + rtol * max(abs(v), abs(v5))
+    err = math.sqrt(0.5 * ((err_u / su) ** 2 + (err_v / sv) ** 2))
+    return err, min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +123,12 @@ class Attractor:
     point: State2
 
 
-MAX_TIME_REACHED = "max-time-reached"
-
-
 @dataclass
 class Trajectory:
     """Time-stamped state samples with extinction events and a terminal label.
 
-    terminal is None when integration stopped at t_end without locking onto
-    an equilibrium (max time reached).
+    terminal is None when integration reached t_end without locking onto
+    an equilibrium.
     """
 
     samples: List[Tuple[float, State2]] = field(default_factory=list)
@@ -230,8 +243,7 @@ def integrate(
         if eval_times is None or forced:
             traj.samples.append((t, State2(u, v)))
 
-    def terminal_at(u: float, v: float) -> Optional[Attractor]:
-        du, dv = f(u, v)
+    def terminal_at(u: float, v: float, du: float, dv: float) -> Optional[Attractor]:
         speed = math.hypot(du, dv)
         for eq in known:
             r = math.hypot(u - eq.point.u, v - eq.point.v)
@@ -247,19 +259,19 @@ def integrate(
             return Attractor("steady", State2(u, v))
         return None
 
+    def lock(idx: int, t_star: float, u: float, v: float) -> Tuple[float, float]:
+        """Record species idx extinct at t_star and pin it at 0; the other is floored at 0."""
+        locked[idx] = True
+        traj.events.append(FteEvent((Species.U, Species.V)[idx], t_star))
+        return (0.0, max(v, 0.0)) if idx == 0 else (max(u, 0.0), 0.0)
+
     t = 0.0
     u, v = float(ic.u), float(ic.v)
     # An initial value already at/below the clamp level with non-increasing
     # derivative counts as extinct at t = 0.
     for idx, (clampable, val) in enumerate(((clamp_u, u), (clamp_v, v))):
-        if clampable and val < opts.eps_ext:
-            d = f(u, v)[idx]
-            if d <= 0.0:
-                if idx == 0:
-                    u, locked[0] = 0.0, True
-                else:
-                    v, locked[1] = 0.0, True
-                traj.events.append(FteEvent(Species.U if idx == 0 else Species.V, 0.0))
+        if clampable and val < opts.eps_ext and f(u, v)[idx] <= 0.0:
+            u, v = lock(idx, 0.0, u, v)
 
     if eval_times is not None and eval_times and eval_times[0] == 0.0:
         record(t, u, v, forced=True)
@@ -267,7 +279,8 @@ def integrate(
     elif eval_times is None:
         record(t, u, v)
 
-    term = terminal_at(u, v)
+    k1u, k1v = f(u, v)
+    term = terminal_at(u, v, k1u, k1v)
     if term is not None:
         traj.terminal = term
         if not traj.samples:
@@ -278,91 +291,77 @@ def integrate(
     steps = 0
     while t < t_end:
         if steps >= opts.max_steps:
-            break
+            raise StepLimitReached(
+                f"max_steps={opts.max_steps} used up at t={t:.6g} of t_end={t_end:.6g}",
+                trajectory=traj,
+            )
         steps += 1
         h = min(h, t_end - t)
         if eval_times:
             h = min(h, max(eval_times[0] - t, 1e-14))
-        u5, v5, eu, ev = _dp45(f, u, v, h)
+        u5, v5, k7u, k7v, eu, ev = _dp45(f, u, v, h, k1u, k1v)
         if not (math.isfinite(u5) and math.isfinite(v5)):
             h *= 0.25
             if h < 1e-14 * max(1.0, abs(t)):
                 raise NonFiniteState(
-                    f"state became non-finite near t={t:.6g}",
+                    f"state became non-finite near t={t:.6g}", trajectory=traj
                 )
             continue
-        su = opts.atol + opts.rtol * max(abs(u), abs(u5))
-        sv = opts.atol + opts.rtol * max(abs(v), abs(v5))
-        err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        err, factor = _step_control(u, v, u5, v5, eu, ev, opts.rtol, opts.atol)
         if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= factor
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(
                     f"step size underflow near t={t:.6g}", trajectory=traj
                 )
             continue
 
-        t_new = t + h
         # Extinction clamp: bracket the eps_ext crossing inside this step.
-        event_species = None
-        if clamp_u and not locked[0] and u5 < opts.eps_ext:
-            if f(u5, max(v5, 0.0))[0] <= 0.0:
-                event_species = 0
-        if (
-            event_species is None
-            and clamp_v
-            and not locked[1]
-            and v5 < opts.eps_ext
-        ):
-            if f(max(u5, 0.0), v5)[1] <= 0.0:
-                event_species = 1
+        # The derivative test floors the other species, so it is the last
+        # stage unless that species ended the step below 0.
+        if clamp_u and not locked[0] and u5 < opts.eps_ext and (
+            k7u if v5 >= 0.0 else f(u5, 0.0)[0]
+        ) <= 0.0:
+            event_species = 0
+        elif clamp_v and not locked[1] and v5 < opts.eps_ext and (
+            k7v if u5 >= 0.0 else f(0.0, v5)[1]
+        ) <= 0.0:
+            event_species = 1
+        else:
+            event_species = None
         if event_species is not None:
-            lo, hi = 0.0, h
-            start_val = (u, v)[event_species]
-            if start_val < opts.eps_ext:
-                hi = 0.0  # already at the level when the step began
+            # at_hi is the state one step of size hi from (u, v).
+            lo, hi, at_hi = 0.0, h, (u5, v5)
+            if (u, v)[event_species] < opts.eps_ext:
+                hi, at_hi = 0.0, (u, v)  # already at the level when the step began
             while hi - lo > opts.event_time_tol:
                 mid = 0.5 * (lo + hi)
-                um, vm = _dp45(f, u, v, mid)[:2]
-                val = um if event_species == 0 else vm
-                if val < opts.eps_ext:
-                    hi = mid
+                at_mid = _dp45(f, u, v, mid, k1u, k1v, last=False)
+                if at_mid[event_species] < opts.eps_ext:
+                    hi, at_hi = mid, at_mid
                 else:
                     lo = mid
-            t_star = t + hi
-            if hi > 0.0:
-                um, vm = _dp45(f, u, v, hi)[:2]
-            else:
-                um, vm = u, v
-            if event_species == 0:
-                u, v = 0.0, max(vm, 0.0)
-                locked[0] = True
-                traj.events.append(FteEvent(Species.U, t_star))
-            else:
-                u, v = max(um, 0.0), 0.0
-                locked[1] = True
-                traj.events.append(FteEvent(Species.V, t_star))
-            t = t_star
+            t += hi
+            u, v = lock(event_species, t, *at_hi)
             record(t, u, v, forced=eval_times is None)
-            term = terminal_at(u, v)
-            if term is not None:
-                traj.terminal = term
-                break
-            h = max(h, 1e-8)
-            continue
-
-        # Accept the step; floor tiny sub-zero excursions of smooth species.
-        u, v, t = max(u5, 0.0), max(v5, 0.0), t_new
-        if eval_times and abs(t - eval_times[0]) <= 1e-12 * max(1.0, t):
-            record(t, u, v, forced=True)
-            eval_times.pop(0)
+            k1u, k1v = f(u, v)  # a species is now locked
+            h_next = max(h, 1e-8)
         else:
-            record(t, u, v)
-        term = terminal_at(u, v)
+            # Accept the step; floor tiny sub-zero excursions of smooth species.
+            # The last stage is the next first stage unless the floor moved the state.
+            u, v, t = max(u5, 0.0), max(v5, 0.0), t + h
+            k1u, k1v = f(u, v) if u5 < 0.0 or v5 < 0.0 else (k7u, k7v)
+            if eval_times and abs(t - eval_times[0]) <= 1e-12 * max(1.0, t):
+                record(t, u, v, forced=True)
+                eval_times.pop(0)
+            else:
+                record(t, u, v)
+            h_next = h * factor
+        term = terminal_at(u, v, k1u, k1v)
         if term is not None:
             traj.terminal = term
             break
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+        h = h_next
 
     if eval_times is None and (not traj.samples or traj.samples[-1][0] != t):
         record(t, u, v)
@@ -510,10 +509,10 @@ def trace_separatrix(
         pts: List[State2] = [State2(u, v)]
         t, h = 0.0, 1e-4
         (ulo, uhi), (vlo, vhi) = box
+        du, dv = backward(u, v)
         for _ in range(200_000):
             if t >= max_backward_time:
                 break
-            du, dv = backward(u, v)
             if math.hypot(du, dv) < 1e-10:
                 break
             if any(
@@ -521,17 +520,15 @@ def trace_separatrix(
             ):
                 break
             h = min(h, max_backward_time - t)
-            u5, v5, eu, ev = _dp45(backward, u, v, h)
+            u5, v5, k7u, k7v, eu, ev = _dp45(backward, u, v, h, du, dv)
             if not (math.isfinite(u5) and math.isfinite(v5)):
                 h *= 0.25
                 if h < 1e-14:
                     break
                 continue
-            su = atol + rtol * max(abs(u), abs(u5))
-            sv = atol + rtol * max(abs(v), abs(v5))
-            err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+            err, factor = _step_control(u, v, u5, v5, eu, ev, rtol, atol)
             if err > 1.0:
-                h *= max(0.2, 0.9 * err ** -0.2)
+                h *= factor
                 if h < 1e-14:
                     break
                 continue
@@ -539,9 +536,9 @@ def trace_separatrix(
             if not (ulo <= u5 <= uhi and vlo <= v5 <= vhi):
                 pts.append(_clip_to_box(State2(u, v), State2(u5, v5), box))
                 break
-            u, v = u5, v5
+            u, v, du, dv = u5, v5, k7u, k7v
             pts.append(State2(u, v))
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+            h *= factor
         return pts
 
     plus = trace_branch(+1.0)

@@ -35,7 +35,7 @@ from .exceptions import (
     NonConvergence,
     NonFiniteField,
 )
-from .kinetics import KineticParams, Regime, classify_regime
+from .kinetics import KineticParams, Regime, classify_regime, safe_pow_arr
 
 __all__ = [
     "Grid1D",
@@ -234,13 +234,6 @@ class PdeOptions:
     early_stop: bool = True
     u_reference: Optional[np.ndarray] = None
     v_reference: Optional[np.ndarray] = None
-
-
-def safe_pow_arr(x: np.ndarray, e: float) -> np.ndarray:
-    """Elementwise x**e treating negatives as 0; identity when e == 1."""
-    if e == 1.0:
-        return x
-    return np.power(np.maximum(x, 0.0), e)
 
 
 def laplacian_neumann(f: np.ndarray, dx: float) -> np.ndarray:

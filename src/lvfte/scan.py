@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibria import interior_equilibria
 from .kinetics import KineticParams, Regime, classify_regime
-from .exceptions import InvalidParameter
+from .exceptions import InvalidParameter, LvfteError
 from .pde import (
     UNDECIDED,
     Grid1D,
@@ -122,7 +122,7 @@ def _run_cell(
             outcome.fte_v,
             outcome.note,
         )
-    except Exception as exc:  # per-cell failures never abort the sweep
+    except LvfteError as exc:  # per-cell numerical failures never abort the sweep
         return (i, j, UNDECIDED, 0.0, False, False, f"{type(exc).__name__}: {exc}")
 
 

@@ -364,6 +364,21 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_step_limit_is_a_numerical_failure(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--config",
+                str(CONFIGS / "ode_extinction_event.ini"),
+                "--out",
+                str(tmp_path / "out"),
+                "--set",
+                "solver.max_steps=50",
+            ]
+        )
+        assert code == 3
+        assert "max_steps=50" in capsys.readouterr().err
+
     def test_wrong_model_kind_for_command(self, tmp_path):
         code = main(
             [

@@ -19,6 +19,14 @@ from lvfte import (
     nullcline_value,
     rhs,
 )
+from lvfte.equilibria import (
+    DEDUPE_FRACTION,
+    SCAN_POINTS,
+    _crossing,
+    _refine_bracket,
+    _refine_tangency,
+    scalar_roots,
+)
 
 # Root positions frozen from an independent scipy.optimize.brentq pass over
 # the same nullcline reductions (xtol 1e-14).
@@ -215,3 +223,90 @@ class TestAllEquilibria:
         interior = eqs[3:]
         assert [eq.kind for eq in interior] == [EquilibriumKind.INTERIOR] * 2
         assert interior[0].point.u < interior[1].point.u
+
+
+def _loop_scan(fn, lo, hi, points=SCAN_POINTS):
+    """Reference for scalar_roots: the list-based scan it replaced, calling fn
+    one float at a time and finding brackets with Python loops."""
+    xs = np.linspace(lo, hi, points + 2)[1:-1]
+    fs = np.array([fn(float(x)) for x in xs])
+    scale = float(np.max(np.abs(fs))) or 1.0
+    roots = []
+    for i in range(len(xs) - 1):
+        if fs[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif fs[i] * fs[i + 1] < 0.0:
+            roots.append(_refine_bracket(fn, float(xs[i]), float(xs[i + 1])))
+    if fs[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    for i in range(1, len(xs) - 1):
+        a = abs(fs[i])
+        if a <= abs(fs[i - 1]) and a <= abs(fs[i + 1]) and a < 1e-9 * scale:
+            if fs[i - 1] * fs[i + 1] > 0.0 and fs[i] != 0.0:
+                x = _refine_tangency(fn, float(xs[i - 1]), float(xs[i + 1]))
+                if abs(fn(x)) <= 1e-10 * scale:
+                    roots.append(x)
+    deduped = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > DEDUPE_FRACTION * (hi - lo):
+            deduped.append(r)
+    return deduped
+
+
+class TestScalarRoots:
+    XS = np.linspace(0.0, 1.0, SCAN_POINTS + 2)[1:-1]  # the scan points on (0, 1)
+
+    def test_double_root_on_a_scan_point_reported_once(self):
+        x0 = float(self.XS[700])
+        fn = lambda x: (x - x0) ** 2  # noqa: E731
+        assert scalar_roots(fn, 0.0, 1.0) == [x0] == _loop_scan(fn, 0.0, 1.0)
+
+    def test_grazing_root_next_to_a_scan_point_reported_once(self):
+        # no sign change anywhere; |fn| dips to 1e-14 at the nearest scan point
+        x0 = float(self.XS[700]) + 1e-7
+        fn = lambda x: (x - x0) ** 2  # noqa: E731
+        roots = scalar_roots(fn, 0.0, 1.0)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(x0, abs=1e-5)
+        assert roots == _loop_scan(fn, 0.0, 1.0)
+
+    def test_simple_roots_and_a_root_on_a_scan_point(self):
+        x0 = float(self.XS[300])
+        fn = lambda x: (x - x0) * (x - 0.61)  # noqa: E731
+        roots = scalar_roots(fn, 0.0, 1.0)
+        assert roots[0] == x0
+        assert roots[1] == pytest.approx(0.61, abs=1e-14)
+        assert roots == _loop_scan(fn, 0.0, 1.0)
+
+    @pytest.mark.parametrize("branch", ["q=1", "p=1", "mixed"])
+    def test_array_scan_matches_pointwise_evaluation(self, branch):
+        # The crossing function of each branch of interior_equilibria, scanned
+        # as one array, must bracket the same roots as evaluating it point by
+        # point, so the refined roots agree bit for bit.
+        rng = np.random.default_rng({"q=1": 11, "p=1": 12, "mixed": 13}[branch])
+        found = 0
+        for _ in range(100):
+            p, q = rng.uniform(0.1, 0.95, 2)
+            p, q = {"q=1": (p, 1.0), "p=1": (1.0, q), "mixed": (p, q)}[branch]
+            k = KineticParams(*rng.uniform(0.3, 3.0, 6), p=p, q=q)
+            fn, hi, _ = _crossing(k)
+            xs = np.linspace(0.0, hi, SCAN_POINTS + 2)[1:-1]
+            pointwise = np.array([fn(float(x)) for x in xs])
+            assert np.array_equal(np.sign(fn(xs)), np.sign(pointwise))
+            roots = scalar_roots(fn, 0.0, hi)
+            assert roots == _loop_scan(fn, 0.0, hi)
+            found += len(roots)
+        assert found > 50  # the draws do cross
+
+
+class TestArrayNullclines:
+    def test_array_matches_scalar_values(self):
+        xs = np.linspace(0.0, 2.0, 9)
+        for k in (FRACTIONAL_P_SADDLE, MIXED_SADDLE_SINK):
+            for side in (NullclineSide(Species.U, "u"), NullclineSide(Species.V, "v")):
+                scalar = [nullcline_value(k, side, float(x)) for x in xs]
+                assert nullcline_value(k, side, xs) == pytest.approx(scalar, rel=1e-14, abs=1e-15)
+
+    def test_rejects_a_negative_entry(self):
+        with pytest.raises(InvalidParameter):
+            nullcline_value(WEAK, NullclineSide(Species.U, "u"), np.array([0.5, -0.1]))

@@ -2,13 +2,16 @@ import math
 
 import pytest
 
+import lvfte.ode as ode_mod
 from lvfte import (
     ComparisonOde,
     HarvestParams,
     IntegrateOptions,
     InvalidParameter,
     KineticParams,
+    NumericalError,
     Species,
+    StepLimitReached,
     State2,
     classify_basin,
     comparison_extinction_time,
@@ -216,3 +219,41 @@ class TestHarvestDynamics:
         big = integrate(HARVEST, State2(1.5, 2.0), 400.0).final_state
         small = integrate(HARVEST, State2(0.2, 0.1), 400.0).final_state
         assert big.v > 1.0 and small.v == 0.0
+
+
+class TestStepAccounting:
+    def test_max_steps_raises_with_the_partial_trajectory(self):
+        with pytest.raises(StepLimitReached) as info:
+            integrate(FTE_CERTIFIED, State2(0.5, 0.5), 200.0, IntegrateOptions(max_steps=50))
+        assert isinstance(info.value, NumericalError)
+        partial = info.value.trajectory
+        assert partial.terminal is None
+        assert 0.0 < partial.samples[-1][0] < 200.0
+
+    def test_rhs_calls_per_accepted_step(self, monkeypatch):
+        # Dormand-Prince is first-same-as-last: an attempt costs six new stages
+        # and a bisection trial five; the first stage is evaluated only at
+        # t = 0 and after the lock at the event.  This run (the
+        # ode_extinction_event recipe) makes 208 attempts (184 accepted, 24
+        # rejected) and 15 bisection trials, which puts the floor at 7.20
+        # calls per accepted step.  Evaluating the first stage afresh for
+        # every attempt and every lock-on test costs 9.5.
+        counts = {"rhs": 0, "full": 0, "trial": 0}
+        rhs, dp45 = ode_mod.rhs, ode_mod._dp45
+
+        def counting_rhs(*args):
+            counts["rhs"] += 1
+            return rhs(*args)
+
+        def counting_dp45(*args, last=True):
+            counts["full" if last else "trial"] += 1
+            return dp45(*args, last=last)
+
+        monkeypatch.setattr(ode_mod, "rhs", counting_rhs)
+        monkeypatch.setattr(ode_mod, "_dp45", counting_dp45)
+        traj = integrate(FTE_CERTIFIED, State2(0.5, 10.0), 200.0)
+        assert [ev.species for ev in traj.events] == [Species.U]
+        accepted = len(traj.samples) - 1  # the event point replaces its step's sample
+        assert (accepted, counts["full"], counts["trial"]) == (184, 208, 15)
+        assert counts["rhs"] == 6 * counts["full"] + 5 * counts["trial"] + 2
+        assert counts["rhs"] / accepted <= 7.21

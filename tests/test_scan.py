@@ -6,6 +6,7 @@ from lvfte import (
     Grid1D,
     InvalidParameter,
     KineticParams,
+    NonConvergence,
     OutcomeGrid,
     PdeOptions,
     PdeParams,
@@ -98,16 +99,25 @@ class TestScanDiffusion:
     def test_parallel_matches_serial(self):
         assert tiny_scan(workers=2) == tiny_scan(workers=1)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AttributeError("patched")
+
+        monkeypatch.setattr(scan_mod, "simulate_pde", broken)
+        with pytest.raises(AttributeError, match="patched"):
+            tiny_scan()
+
     def test_cell_failures_become_undecided_notes(self, monkeypatch):
+        # A numerical failure (LvfteError) in one cell is a verdict, not an abort.
         def boom(*args, **kwargs):
-            raise RuntimeError("injected fault")
+            raise NonConvergence("injected fault")
 
         monkeypatch.setattr(scan_mod, "simulate_pde", boom)
         result = tiny_scan()
         assert result.count(UNDECIDED) == 4
         for row in result.notes:
             for note in row:
-                assert "RuntimeError" in note and "injected fault" in note
+                assert note == "NonConvergence: injected fault"
 
     def test_scan_validation(self):
         with pytest.raises(InvalidParameter):
