@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,35 @@ n_x = 16
 t_end = 2000
 dt = 0.05
 check_interval = 25
+"""
+
+
+OVERFLOWING_PDE = """\
+[model]
+kind = pde-const
+
+[kinetics]
+a1 = 1
+a2 = 1
+b1 = 1
+b2 = 1
+c1 = 0.5
+c2 = 0.5
+
+[domain]
+x0 = 0
+x1 = 1
+n_x = 16
+d1 = 0.01
+d2 = 0.01
+
+[initial]
+u = 1e30
+v = 1
+
+[solver]
+t_end = 200
+dt = 50
 """
 
 
@@ -246,6 +276,15 @@ class TestPdeCommand:
         cond_rows = read_csv(out / "conditions.csv")
         assert cond_rows[0] == ["x", "u0", "v0", "lower", "upper", "cond1", "cond12"]
         assert all(r[5] == "true" and r[6] == "true" for r in cond_rows[1:])
+
+    def test_time_step_underflow_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.ini"
+        cfg.write_text(OVERFLOWING_PDE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["pde", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "time step underflow" in capsys.readouterr().err
 
     def test_unit_exponent_reverses_the_verdict(self, tmp_path):
         code, out = self.run(

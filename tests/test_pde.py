@@ -1,18 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+import lvfte.pde as lvfte_pde
+from lvfte.kinetics import safe_pow_arr
 from lvfte import (
     COEXIST,
     UNDECIDED,
     U_WINS,
     V_WINS,
+    CflViolation,
     Grid1D,
     IntegrateOptions,
     InvalidParameter,
     KineticParams,
+    NonConvergence,
     PdeOptions,
+    PdeOutcome,
     PdeParams,
     PdeState,
     ResourceField,
@@ -20,6 +27,7 @@ from lvfte import (
     check_recovery_conditions,
     integrate,
     laplacian_neumann,
+    scan_diffusion,
     simulate_pde,
     single_species_steady_state,
 )
@@ -266,3 +274,367 @@ class TestRecoveryConditions:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(InvalidParameter):
             check_recovery_conditions(RECOVERY, np.array([0.1, 0.2]), np.array([0.1]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the split stepper with u and v stepped apart
+# ---------------------------------------------------------------------------
+
+
+def _reference_reaction(params):
+    if params.kinetics is not None:
+        k = params.kinetics
+
+        def react(u, v):
+            du = u * (k.a1 - k.b1 * u) - k.c1 * safe_pow_arr(u, k.p) * v
+            dv = v * (k.a2 - k.b2 * v) - k.c2 * u * safe_pow_arr(v, k.q)
+            return du, dv
+
+        return react
+    b, c, p, m = params.b, params.c, params.p, params.m.values
+
+    def react(u, v):
+        du = u * (m - u) - b * safe_pow_arr(u, p) * v
+        dv = v * (m - v) - c * u * v
+        return du, dv
+
+    return react
+
+
+def two_field_reference(params, init, t_end, opts):
+    """simulate_pde as a two-field stepper: one scipy solve per species.
+
+    This is the stepper simulate_pde used before u and v were stacked into
+    one field, kept as the bit-for-bit reference.  The only change is
+    ``check_finite=False`` on the solves, so that a non-finite step reaches
+    the dt-halving rule instead of raising ValueError inside scipy.
+    Returns (snapshots, outcome, entered_imex_tail, dt_halvings).
+    """
+    grid = init.grid
+    n, dx = grid.n_x, grid.dx
+    u, v = init.u.copy(), init.v.copy()
+    react = _reference_reaction(params)
+    clamp_u, clamp_v = lvfte_pde._pde_clampable(params)
+    refs = lvfte_pde._ReferenceCache(params, grid, opts)
+    dt = opts.dt if opts.dt is not None else lvfte_pde._default_dt(params)
+    factors = {}
+
+    def solve(dcoef, h, rhs):
+        key = (dcoef, h)
+        if key not in factors:
+            r = dcoef * h / (dx * dx)
+            ab = np.zeros((2, n))
+            ab[1, :] = 1.0 + 2.0 * r
+            ab[1, 0] = ab[1, -1] = 1.0 + r
+            ab[0, 1:] = -r
+            factors[key] = cholesky_banded(ab)
+        return cho_solve_banded((factors[key], False), rhs, check_finite=False)
+
+    events = {t: True for t in sorted({float(s) for s in opts.snapshot_times if 0.0 < s <= t_end})}
+    if opts.check_interval > 0.0:
+        k = 1
+        while k * opts.check_interval < t_end:
+            events.setdefault(k * opts.check_interval, False)
+            k += 1
+    events.setdefault(t_end, False)
+
+    snapshots = [(0.0, PdeState(grid, u, v))]
+    fte = {"u": None, "v": None}
+    label, note, t, steps = None, "", 0.0, 0
+    entered_tail, halvings = False, 0
+
+    def clamp(t_now):
+        np.maximum(u, 0.0, out=u)
+        np.maximum(v, 0.0, out=v)
+        low_u, low_v = u < opts.eps_ext, v < opts.eps_ext
+        if (clamp_u and low_u.any()) or (clamp_v and low_v.any()):
+            du, dv = react(u, v)
+            if clamp_u:
+                u[low_u & (du <= 0.0)] = 0.0
+            if clamp_v:
+                v[low_v & (dv <= 0.0)] = 0.0
+        if clamp_u and fte["u"] is None and not u.any():
+            fte["u"] = t_now
+        if clamp_v and fte["v"] is None and not v.any():
+            fte["v"] = t_now
+
+    def classify(rate):
+        if float(v.max()) < opts.tol_out:
+            ref = refs.u_ref()
+            if ref is not None and float(np.max(np.abs(u - ref))) < opts.tol_out:
+                return U_WINS
+        if float(u.max()) < opts.tol_out:
+            ref = refs.v_ref()
+            if ref is not None and float(np.max(np.abs(v - ref))) < opts.tol_out:
+                return V_WINS
+        if min(float(u.min()), float(v.min())) > opts.tol_pos and rate < opts.tol_steady:
+            return COEXIST
+        return None
+
+    clamp(0.0)
+    rate, tail, budget_hit = math.inf, False, False
+    for target in sorted(events):
+        while target - t > 1e-12 * max(1.0, target):
+            if steps >= opts.max_steps:
+                budget_hit = True
+                break
+            h = min(dt, target - t)
+            u_prev, v_prev = u, v
+            low = min(float(u.max()), float(v.max()))
+            if not tail and low < opts.tail_threshold:
+                tail = entered_tail = True
+            elif tail and low > 10.0 * opts.tail_threshold:
+                tail = False
+            if tail:
+                fu, fv = react(u, v)
+                u = solve(params.d1, h, u + h * fu)
+                v = solve(params.d2, h, v + h * fv)
+            else:
+                u1 = solve(params.d1, 0.5 * h, u)
+                v1 = solve(params.d2, 0.5 * h, v)
+                k1u, k1v = react(u1, v1)
+                k2u, k2v = react(u1 + 0.5 * h * k1u, v1 + 0.5 * h * k1v)
+                k3u, k3v = react(u1 + 0.5 * h * k2u, v1 + 0.5 * h * k2v)
+                k4u, k4v = react(u1 + h * k3u, v1 + h * k3v)
+                sixth = h / 6.0
+                u2 = u1 + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                v2 = v1 + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                u = solve(params.d1, 0.5 * h, u2)
+                v = solve(params.d2, 0.5 * h, v2)
+            steps += 1
+            if not math.isfinite(float(u.sum()) + float(v.sum())):
+                u, v = u_prev, v_prev
+                dt *= 0.5
+                halvings += 1
+                if dt < opts.dt_min:
+                    raise CflViolation("time step underflow")
+                continue
+            t += h
+            clamp(t)
+            rate = max(float(np.max(np.abs(u - u_prev))), float(np.max(np.abs(v - v_prev)))) / h
+        if budget_hit:
+            note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
+            break
+        if events[target]:
+            snapshots.append((t, PdeState(grid, u, v)))
+        verdict = classify(rate)
+        if verdict is not None:
+            label = verdict
+            if opts.early_stop:
+                break
+    if label is None:
+        label = UNDECIDED
+        if not note:
+            note = f"no verdict by t={t:g}" + (f"; {refs.note}" if refs.note else "")
+    if snapshots[-1][0] != t:
+        snapshots.append((t, PdeState(grid, u, v)))
+    outcome = PdeOutcome(
+        label=label,
+        t_reached=t,
+        fte_u=fte["u"] is not None,
+        fte_v=fte["v"] is not None,
+        fte_u_time=fte["u"],
+        fte_v_time=fte["v"],
+        note=note,
+    )
+    return snapshots, outcome, entered_tail, halvings
+
+
+def _stacked_cases():
+    """(name, params, init, t_end, opts, expect_tail, expect_halving)."""
+    g32 = Grid1D(0.0, 1.0, 32)
+    x32 = g32.centers()
+    g64 = Grid1D(0.0, 1.0, 64)
+    m64 = logistic_resource(g64)
+    half = m64.values / 2.0 + 0.01
+    L = 0.071429
+    g48 = Grid1D(0.0, L, 48)
+    band = 0.03 + 0.02 * np.cos(np.pi * g48.centers() / L)
+    map_opts = PdeOptions(dt=0.5, check_interval=100.0, max_steps=200_000)
+    cases = [
+        # smooth exclusion; v decays into the IMEX tail before the verdict
+        ("const-exclusion-tail", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
+         PdeState(g32, 0.5 + 0.1 * np.cos(np.pi * x32), np.full(32, 0.5)), 400.0,
+         PdeOptions(dt=0.05, check_interval=20.0, early_stop=False), True, False),
+        ("const-coexist-snapshots", PdeParams(0.05, 0.01, kinetics=WEAK),
+         PdeState(g32, 0.4 + 0.2 * np.cos(np.pi * x32), np.full(32, 0.3)), 300.0,
+         PdeOptions(dt=0.02, snapshot_times=(0.7, 3.1, 42.0), check_interval=10.0), False, False),
+        # p < 1: u is clamped to zero in finite time
+        ("const-p-clamp", PdeParams(1.0, 0.001, kinetics=RECOVERY),
+         PdeState(g48, band, 6.0 * band), 400.0,
+         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0)), True, False),
+        # q < 1: the mirror image clamps v
+        ("const-q-clamp", PdeParams(0.001, 1.0, kinetics=KineticParams(
+            a1=1, b1=1, c1=2, a2=1.1, b2=1, c2=1.2, p=1.0, q=0.1)),
+         PdeState(g48, 6.0 * band, band), 400.0,
+         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0)), True, False),
+        # criterion 6 cells: smooth resource kinetics and the p = 0.7 flip
+        ("resource-p1", PdeParams(3.98e-3, 3.98e-2, b=0.999, c=0.999, p=1.0, m=m64),
+         PdeState(g64, half, half), 60000.0, map_opts, True, False),
+        ("resource-p07", PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m64),
+         PdeState(g64, half, half), 60000.0, map_opts, True, False),
+        # u starts at 1e20 on three cells: RK4 overflows until dt has been
+        # halved twice, and the overshoot then zeroes both fields, which
+        # sends the run into the IMEX tail
+        ("dt-halving", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
+         PdeState(g32, np.where(x32 < 0.1, 1e20, 0.5), np.full(32, 0.5)), 20.0,
+         PdeOptions(dt=1.0, check_interval=5.0, snapshot_times=(0.3,), early_stop=False),
+         True, True),
+    ]
+    rng = np.random.default_rng(11)
+    for k, (p, q) in enumerate(((1.0, 1.0), (0.5, 1.0), (1.0, 0.4), (0.6, 0.7))):
+        a1, a2 = rng.uniform(0.5, 3.0, 2)
+        b1, b2 = rng.uniform(0.5, 1.5, 2)
+        c1, c2 = rng.uniform(0.2, 2.5, 2)
+        d1, d2 = 10.0 ** rng.uniform(-3.0, -1.0, 2)
+        u0 = rng.uniform(0.05, 1.5) * (1.0 + 0.3 * np.cos(np.pi * x32 * (k + 1)))
+        v0 = rng.uniform(0.05, 1.5) * (1.0 + 0.3 * np.sin(np.pi * x32))
+        cases.append((
+            f"const-seeded-{k}",
+            PdeParams(d1, d2, kinetics=KineticParams(a1, a2, b1, b2, c1, c2, p, q)),
+            PdeState(g32, u0, v0), 200.0,
+            PdeOptions(dt=0.05, snapshot_times=(1.0, 12.5), check_interval=10.0),
+            None, False,
+        ))
+    return cases
+
+
+STACKED_CASES = _stacked_cases()
+
+
+@pytest.mark.parametrize(
+    "name, params, init, t_end, opts, expect_tail, expect_halving",
+    STACKED_CASES,
+    ids=[case[0] for case in STACKED_CASES],
+)
+def test_stacked_stepper_matches_two_field_reference(
+    name, params, init, t_end, opts, expect_tail, expect_halving
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing attempts
+        ref_snaps, ref_outcome, entered_tail, halvings = two_field_reference(
+            params, init, t_end, opts
+        )
+        snaps, outcome = simulate_pde(params, init, t_end, opts)
+    if expect_tail is not None:
+        assert entered_tail == expect_tail
+    assert (halvings > 0) == expect_halving
+    assert outcome == ref_outcome
+    assert [t for t, _ in snaps] == [t for t, _ in ref_snaps]
+    for (_, got), (_, want) in zip(snaps, ref_snaps):
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+
+
+def test_joint_block_factor_equals_separate_factors():
+    n, dx, h = 64, 1.0 / 64, 0.25
+    ds = (3.98e-3, 3.98e-2)
+    rhs = np.random.default_rng(3).uniform(0.0, 1.0, (2, n))
+    joint = lvfte_pde._ImplicitDiffusion(n, dx, ds, h).apply(rhs)
+    for k, d in enumerate(ds):
+        alone = lvfte_pde._ImplicitDiffusion(n, dx, (d,), h).apply(rhs[k].copy())
+        assert joint[k].tobytes() == alone.tobytes()
+
+
+class TestNonFiniteStep:
+    PARAMS = PdeParams(0.01, 0.01, kinetics=KineticParams(1, 1, 1, 1, 0.5, 0.5))
+
+    def test_underflow_raises_cfl_violation(self):
+        g = Grid1D(0.0, 1.0, 16)
+        init = PdeState(g, np.full(16, 1e30), np.full(16, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(CflViolation, match="time step underflow"):
+                simulate_pde(self.PARAMS, init, 200.0, PdeOptions(dt=50.0))
+
+    def test_sweep_records_the_failure_as_an_undecided_cell(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grid = scan_diffusion(
+                self.PARAMS, (0.01,), (0.01, 0.02), 200.0,
+                grid=Grid1D(0.0, 1.0, 16), options=PdeOptions(dt=50.0),
+                ic_offset=1e30, workers=1,
+            )
+        assert grid.labels == ((UNDECIDED, UNDECIDED),)
+        assert all(note.startswith("CflViolation: ") for note in grid.notes[0])
+
+
+# ---------------------------------------------------------------------------
+# Memoised single-species steady states
+# ---------------------------------------------------------------------------
+
+
+class TestSteadyStateCache:
+    def test_cached_profile_equals_a_fresh_march(self):
+        g = Grid1D(0.0, 1.0, 64)
+        m = logistic_resource(g)
+        first = single_species_steady_state(2.5e-3, m)
+        again = single_species_steady_state(2.5e-3, m)
+        fresh = lvfte_pde._steady_state.__wrapped__(2.5e-3, g, m.values.tobytes(), 1e-9, 1e5)
+        assert first.tobytes() == fresh.tobytes()
+        assert again.tobytes() == fresh.tobytes()
+
+    def test_key_is_the_value_not_the_object(self):
+        g = Grid1D(0.0, 1.0, 64)
+        one = single_species_steady_state(3.5e-3, logistic_resource(g))
+        hits = lvfte_pde._steady_state.cache_info().hits
+        other = single_species_steady_state(3.5e-3, logistic_resource(Grid1D(0.0, 1.0, 64)))
+        assert lvfte_pde._steady_state.cache_info().hits == hits + 1
+        assert one.tobytes() == other.tobytes()
+
+    def test_mutating_the_result_does_not_poison_the_cache(self):
+        g = Grid1D(0.0, 1.0, 64)
+        m = logistic_resource(g)
+        first = single_species_steady_state(4.5e-3, m)
+        want = first.copy()
+        first[:] = -1.0
+        assert single_species_steady_state(4.5e-3, m).tobytes() == want.tobytes()
+
+    def test_failures_are_not_cached(self):
+        g = Grid1D(0.0, 1.0, 64)
+        m = logistic_resource(g)
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                single_species_steady_state(5.5e-3, m, t_max=1.0)
+
+    def test_nonconvergence_reaches_the_reference_note(self, monkeypatch):
+        def short_march(d, m, **kw):
+            return real(d, m, t_max=1.0)
+
+        real = lvfte_pde.single_species_steady_state
+        monkeypatch.setattr(lvfte_pde, "single_species_steady_state", short_march)
+        g = Grid1D(0.0, 1.0, 64)
+        m = logistic_resource(g)
+        half = m.values / 2.0 + 0.01
+        params = PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m)
+        opts = PdeOptions(dt=0.5, check_interval=100.0)
+        for _ in range(2):  # the second run must fail the same way
+            _, outcome = simulate_pde(params, PdeState(g, half, half), 200.0, opts)
+            assert outcome.label == UNDECIDED
+            assert "reference profile unavailable" in outcome.note
+            assert "not reached by t=1" in outcome.note
+
+
+# ---------------------------------------------------------------------------
+# Verdicts under dt refinement (criterion 6 cells)
+# ---------------------------------------------------------------------------
+
+AXIS = np.geomspace(1e-4, 1e-1, 16)
+
+
+@pytest.mark.parametrize(
+    "p, i, j",
+    [(1.0, 8, 13), (1.0, 13, 14), (0.7, 0, 15), (0.7, 15, 0)],
+)
+def test_map_cell_verdict_holds_when_dt_is_halved(p, i, j):
+    g = Grid1D(0.0, 1.0, 64)
+    m = logistic_resource(g)
+    half = m.values / 2.0 + 0.01
+    params = PdeParams(AXIS[i], AXIS[j], b=0.999, c=0.999, p=p, m=m)
+    verdicts = []
+    for dt in (0.5, 0.25):
+        opts = PdeOptions(dt=dt, check_interval=100.0, max_steps=400_000)
+        _, outcome = simulate_pde(params, PdeState(g, half, half), 60000.0, opts)
+        verdicts.append((outcome.label, outcome.fte_u, outcome.fte_v))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] != UNDECIDED
