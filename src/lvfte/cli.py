@@ -405,24 +405,25 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes for scans (default: all cores)",
-        )
-        sp.add_argument(
-            "--resolution",
-            type=int,
-            default=None,
-            help="override scan resolution / sample count",
-        )
-        sp.add_argument(
             "--set",
             action="append",
             default=[],
             metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
+        if name == "scan":
+            sp.add_argument(
+                "--workers",
+                type=int,
+                default=None,
+                help="worker processes (default: all cores)",
+            )
+            sp.add_argument(
+                "--resolution",
+                type=int,
+                default=None,
+                help="override the scan resolution / sample count",
+            )
     return parser
 
 

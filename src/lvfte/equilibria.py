@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .exceptions import InvalidParameter, SingularLinearization
-from .kinetics import KineticParams, Species, State2, rhs, safe_pow, safe_pow_arr
+from .kinetics import KineticParams, Species, State2, safe_pow, safe_pow_arr
 
 # Absolute tolerance on trace/determinant when deciding hyperbolicity.
 HYPERBOLICITY_TOL = 1e-10

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,13 +93,53 @@ def _dp45(f: Rhs2, u: float, v: float, h: float, k1u: float, k1v: float, last: b
     return u5, v5, k7u, k7v, err_u, err_v
 
 
-def _step_control(u, v, u5, v5, err_u, err_v, rtol, atol) -> Tuple[float, float]:
-    """Scaled RMS error of a step from (u, v) to (u5, v5), and the factor
-    that sizes the next attempt (the retry after a rejection included)."""
-    su = atol + rtol * max(abs(u), abs(u5))
-    sv = atol + rtol * max(abs(v), abs(v5))
-    err = math.sqrt(0.5 * ((err_u / su) ** 2 + (err_v / sv) ** 2))
-    return err, min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+def _adaptive_dp45(
+    f: Rhs2, t: float, u: float, v: float, k1u: float, k1v: float, h: float, t_end: float,
+    rtol: float, atol: float, max_steps: int, accept, trajectory=None,
+) -> None:
+    """Adaptive Dormand-Prince steps from (t, u, v), with k1 = f(u, v), to t_end.
+
+    Attempts are clipped to t_end.  A non-finite result is retried with h/4
+    and a rejected one with h * factor, until h falls below
+    1e-14 * max(1, |t|) (NonFiniteState, StepSizeUnderflow); max_steps
+    attempts end in StepLimitReached.  The errors carry ``trajectory``.
+    Each accepted step calls accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v,
+    factor), with k7 = f(u5, v5) and h * factor the proposed next step; it
+    returns the next (t, u, v, k1u, k1v, h), or None to stop.
+    """
+    steps = 0
+    while t < t_end:
+        if steps >= max_steps:
+            raise StepLimitReached(
+                f"max_steps={max_steps} used up at t={t:.6g} of t_end={t_end:.6g}",
+                trajectory=trajectory,
+            )
+        steps += 1
+        h = min(h, t_end - t)
+        u5, v5, k7u, k7v, eu, ev = _dp45(f, u, v, h, k1u, k1v)
+        if not (math.isfinite(u5) and math.isfinite(v5)):
+            h *= 0.25
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise NonFiniteState(
+                    f"state became non-finite near t={t:.6g}", trajectory=trajectory
+                )
+            continue
+        # Scaled RMS error; factor sizes the next attempt, the retry included.
+        su = atol + rtol * max(abs(u), abs(u5))
+        sv = atol + rtol * max(abs(v), abs(v5))
+        err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+        if err > 1.0:
+            h *= factor
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(
+                    f"step size underflow near t={t:.6g}", trajectory=trajectory
+                )
+            continue
+        nxt = accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor)
+        if nxt is None:
+            return
+        t, u, v, k1u, k1v, h = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +192,14 @@ class Trajectory:
 class IntegrateOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
-    eps_ext: float = 1e-10  # extinction clamp threshold
-    event_time_tol: float = 1e-10  # bisection tolerance on the event time
-    lock_radius: float = 1e-6  # distance for terminal lock-on
-    lock_speed: float = 1e-8  # speed for terminal lock-on
     t_eval: Optional[Sequence[float]] = None  # record only at these times
-    known_equilibria: Optional[Sequence[Equilibrium]] = None
-    detect_steady: Optional[bool] = None  # default: only for harvest params
-    h0: Optional[float] = None
     max_steps: int = 10_000_000
 
+
+EPS_EXT = 1e-10  # extinction clamp threshold
+EVENT_TIME_TOL = 1e-10  # bisection bracket width on the event time
+LOCK_RADIUS = 1e-6  # distance for terminal lock-on
+LOCK_SPEED = 1e-8  # speed for terminal lock-on
 
 _REPELLING = (Stability.SOURCE, Stability.SPIRAL_SOURCE, Stability.SADDLE)
 
@@ -171,16 +209,6 @@ _KIND_NAMES = {
     EquilibriumKind.V_AXIS: "v-axis",
     EquilibriumKind.INTERIOR: "interior",
 }
-
-
-def _base_rhs(params: AnyParams) -> Rhs2:
-    if isinstance(params, HarvestParams):
-        def f(u: float, v: float) -> Tuple[float, float]:
-            return harvest_rhs(params, State2(u, v))
-    else:
-        def f(u: float, v: float) -> Tuple[float, float]:
-            return rhs(params, State2(u, v))
-    return f
 
 
 def _clampable(params: AnyParams) -> Tuple[bool, bool]:
@@ -199,12 +227,14 @@ def integrate(
     """Integrate from ic over [0, t_end] with extinction clamping.
 
     Whenever a species with an active fractional-exponent term drops below
-    eps_ext with a non-positive derivative, the crossing time of the eps_ext
+    EPS_EXT with a non-positive derivative, the crossing time of the EPS_EXT
     level is bracketed by bisection on the step, the species is set to
     exactly 0 from then on, and an FteEvent is recorded.  The trajectory
     terminates early with an Attractor label when the state comes within
-    lock_radius of a known non-repelling equilibrium at speed below
-    lock_speed (repelling equilibria only lock when hit exactly).
+    LOCK_RADIUS of a non-repelling equilibrium at speed below LOCK_SPEED
+    (repelling equilibria only lock when hit exactly).  Harvest runs have no
+    equilibrium list; they lock onto any state slower than LOCK_SPEED as
+    "steady".
     """
     opts = opts or IntegrateOptions()
     if not (ic.u >= 0.0 and ic.v >= 0.0):
@@ -212,36 +242,25 @@ def integrate(
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise InvalidParameter(f"t_end must be positive and finite, got {t_end}")
 
-    base = _base_rhs(params)
+    harvest = isinstance(params, HarvestParams)
+    kinetics = harvest_rhs if harvest else rhs
     clamp_u, clamp_v = _clampable(params)
     locked = [False, False]
 
     def f(u: float, v: float) -> Tuple[float, float]:
-        du, dv = base(u, v)
+        du, dv = kinetics(params, State2(u, v))
         if locked[0]:
             du = 0.0
         if locked[1]:
             dv = 0.0
         return du, dv
 
-    if opts.known_equilibria is not None:
-        known = list(opts.known_equilibria)
-    elif isinstance(params, KineticParams):
-        known = all_equilibria(params)
-    else:
-        known = []
-    detect_steady = opts.detect_steady
-    if detect_steady is None:
-        detect_steady = isinstance(params, HarvestParams)
-
+    known = [] if harvest else all_equilibria(params)
     traj = Trajectory()
+    samples = traj.samples
     eval_times: Optional[List[float]] = None
     if opts.t_eval is not None:
         eval_times = sorted(t for t in opts.t_eval if 0.0 <= t <= t_end)
-
-    def record(t: float, u: float, v: float, forced: bool = False) -> None:
-        if eval_times is None or forced:
-            traj.samples.append((t, State2(u, v)))
 
     def terminal_at(u: float, v: float, du: float, dv: float) -> Optional[Attractor]:
         speed = math.hypot(du, dv)
@@ -249,13 +268,9 @@ def integrate(
             r = math.hypot(u - eq.point.u, v - eq.point.v)
             if r < 1e-12 and speed < 1e-12:
                 return Attractor(_KIND_NAMES[eq.kind], eq.point)
-            if (
-                r < opts.lock_radius
-                and speed < opts.lock_speed
-                and eq.stability not in _REPELLING
-            ):
+            if r < LOCK_RADIUS and speed < LOCK_SPEED and eq.stability not in _REPELLING:
                 return Attractor(_KIND_NAMES[eq.kind], eq.point)
-        if detect_steady and speed < opts.lock_speed:
+        if harvest and speed < LOCK_SPEED:
             return Attractor("steady", State2(u, v))
         return None
 
@@ -265,65 +280,35 @@ def integrate(
         traj.events.append(FteEvent((Species.U, Species.V)[idx], t_star))
         return (0.0, max(v, 0.0)) if idx == 0 else (max(u, 0.0), 0.0)
 
-    t = 0.0
     u, v = float(ic.u), float(ic.v)
     # An initial value already at/below the clamp level with non-increasing
     # derivative counts as extinct at t = 0.
     for idx, (clampable, val) in enumerate(((clamp_u, u), (clamp_v, v))):
-        if clampable and val < opts.eps_ext and f(u, v)[idx] <= 0.0:
+        if clampable and val < EPS_EXT and f(u, v)[idx] <= 0.0:
             u, v = lock(idx, 0.0, u, v)
 
-    if eval_times is not None and eval_times and eval_times[0] == 0.0:
-        record(t, u, v, forced=True)
-        eval_times.pop(0)
-    elif eval_times is None:
-        record(t, u, v)
+    if eval_times is None or (eval_times and eval_times[0] == 0.0):
+        samples.append((0.0, State2(u, v)))
+        if eval_times:
+            eval_times.pop(0)
 
     k1u, k1v = f(u, v)
     term = terminal_at(u, v, k1u, k1v)
     if term is not None:
         traj.terminal = term
-        if not traj.samples:
-            record(t, u, v, forced=True)
+        if not samples:
+            samples.append((0.0, State2(u, v)))
         return traj
 
-    h = opts.h0 or min(1e-3, t_end / 100.0)
-    steps = 0
-    while t < t_end:
-        if steps >= opts.max_steps:
-            raise StepLimitReached(
-                f"max_steps={opts.max_steps} used up at t={t:.6g} of t_end={t_end:.6g}",
-                trajectory=traj,
-            )
-        steps += 1
-        h = min(h, t_end - t)
-        if eval_times:
-            h = min(h, max(eval_times[0] - t, 1e-14))
-        u5, v5, k7u, k7v, eu, ev = _dp45(f, u, v, h, k1u, k1v)
-        if not (math.isfinite(u5) and math.isfinite(v5)):
-            h *= 0.25
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise NonFiniteState(
-                    f"state became non-finite near t={t:.6g}", trajectory=traj
-                )
-            continue
-        err, factor = _step_control(u, v, u5, v5, eu, ev, opts.rtol, opts.atol)
-        if err > 1.0:
-            h *= factor
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(
-                    f"step size underflow near t={t:.6g}", trajectory=traj
-                )
-            continue
-
-        # Extinction clamp: bracket the eps_ext crossing inside this step.
+    def accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor):
+        # Extinction clamp: bracket the EPS_EXT crossing inside this step.
         # The derivative test floors the other species, so it is the last
         # stage unless that species ended the step below 0.
-        if clamp_u and not locked[0] and u5 < opts.eps_ext and (
+        if clamp_u and not locked[0] and u5 < EPS_EXT and (
             k7u if v5 >= 0.0 else f(u5, 0.0)[0]
         ) <= 0.0:
             event_species = 0
-        elif clamp_v and not locked[1] and v5 < opts.eps_ext and (
+        elif clamp_v and not locked[1] and v5 < EPS_EXT and (
             k7v if u5 >= 0.0 else f(0.0, v5)[1]
         ) <= 0.0:
             event_species = 1
@@ -332,39 +317,46 @@ def integrate(
         if event_species is not None:
             # at_hi is the state one step of size hi from (u, v).
             lo, hi, at_hi = 0.0, h, (u5, v5)
-            if (u, v)[event_species] < opts.eps_ext:
+            if (u, v)[event_species] < EPS_EXT:
                 hi, at_hi = 0.0, (u, v)  # already at the level when the step began
-            while hi - lo > opts.event_time_tol:
+            while hi - lo > EVENT_TIME_TOL:
                 mid = 0.5 * (lo + hi)
                 at_mid = _dp45(f, u, v, mid, k1u, k1v, last=False)
-                if at_mid[event_species] < opts.eps_ext:
+                if at_mid[event_species] < EPS_EXT:
                     hi, at_hi = mid, at_mid
                 else:
                     lo = mid
             t += hi
             u, v = lock(event_species, t, *at_hi)
-            record(t, u, v, forced=eval_times is None)
+            if eval_times is None:
+                samples.append((t, State2(u, v)))
             k1u, k1v = f(u, v)  # a species is now locked
             h_next = max(h, 1e-8)
         else:
-            # Accept the step; floor tiny sub-zero excursions of smooth species.
-            # The last stage is the next first stage unless the floor moved the state.
+            # Floor tiny sub-zero excursions of smooth species.  The last
+            # stage is the next first stage unless the floor moved the state.
             u, v, t = max(u5, 0.0), max(v5, 0.0), t + h
             k1u, k1v = f(u, v) if u5 < 0.0 or v5 < 0.0 else (k7u, k7v)
-            if eval_times and abs(t - eval_times[0]) <= 1e-12 * max(1.0, t):
-                record(t, u, v, forced=True)
+            if eval_times is None:
+                samples.append((t, State2(u, v)))
+            elif eval_times and abs(t - eval_times[0]) <= 1e-12 * max(1.0, t):
+                samples.append((t, State2(u, v)))
                 eval_times.pop(0)
-            else:
-                record(t, u, v)
             h_next = h * factor
         term = terminal_at(u, v, k1u, k1v)
         if term is not None:
             traj.terminal = term
-            break
-        h = h_next
+            return None
+        if eval_times:
+            h_next = min(h_next, max(eval_times[0] - t, 1e-14))
+        return t, u, v, k1u, k1v, h_next
 
-    if eval_times is None and (not traj.samples or traj.samples[-1][0] != t):
-        record(t, u, v)
+    h = min(1e-3, t_end / 100.0)
+    if eval_times:
+        h = min(h, max(eval_times[0], 1e-14))
+    _adaptive_dp45(
+        f, 0.0, u, v, k1u, k1v, h, t_end, opts.rtol, opts.atol, opts.max_steps, accept, traj
+    )
     return traj
 
 
@@ -392,6 +384,14 @@ def classify_basin(
 # ---------------------------------------------------------------------------
 
 
+def fte_coefficient(params: KineticParams) -> float:
+    """The coefficient of fte_threshold, unchecked (callers check p and q)."""
+    one_m_p = 1.0 - params.p
+    return (params.a1 * params.c2 + one_m_p * params.a1 * params.b1) / (
+        one_m_p * params.c1 * params.b1
+    )
+
+
 def fte_threshold(params: KineticParams, u0: float) -> float:
     """Threshold curve value f(u0) above which v(0) certifies u-extinction.
 
@@ -407,11 +407,7 @@ def fte_threshold(params: KineticParams, u0: float) -> float:
         raise InvalidParameter(f"threshold requires q = 1, got q={params.q}")
     if not (math.isfinite(u0) and u0 > 0.0):
         raise InvalidParameter(f"u0 must be positive, got {u0!r}")
-    one_m_p = 1.0 - params.p
-    coef = (params.a1 * params.c2 + one_m_p * params.a1 * params.b1) / (
-        one_m_p * params.c1 * params.b1
-    )
-    return coef * math.pow(u0, one_m_p)
+    return fte_coefficient(params) * math.pow(u0, 1.0 - params.p)
 
 
 def predict_fte(params: KineticParams, ic: State2) -> bool:
@@ -454,6 +450,9 @@ def _clip_to_box(inside: State2, outside: State2, box) -> State2:
     return State2(inside.u + s * du, inside.v + s * dv)
 
 
+SEPARATRIX_MAX_STEPS = 200_000  # step attempts per branch
+
+
 def trace_separatrix(
     params: KineticParams,
     saddle: Equilibrium,
@@ -468,8 +467,11 @@ def trace_separatrix(
 
     Branches stop on leaving the box [0, 2*a1/b1] x [0, 2*a2/b2] (the exit
     point is clipped onto the boundary), on backward speed dropping below
-    1e-10, on approaching another equilibrium, or at max_backward_time.
-    Backward deviations off the manifold decay, so the tracing is
+    1e-10, on coming within 1e-6 of another equilibrium, or at
+    max_backward_time.  A branch that cannot go on raises instead:
+    NonFiniteState or StepSizeUnderflow once the step falls below
+    1e-14 * max(1, |t|), StepLimitReached after SEPARATRIX_MAX_STEPS
+    attempts.  Backward deviations off the manifold decay, so the tracing is
     self-correcting.
     """
     if saddle.stability is not Stability.SADDLE or saddle.jacobian is None:
@@ -491,10 +493,9 @@ def trace_separatrix(
             (0.0, 2.0 * params.a1 / params.b1),
             (0.0, 2.0 * params.a2 / params.b2),
         )
-    base = _base_rhs(params)
 
     def backward(u: float, v: float) -> Tuple[float, float]:
-        du, dv = base(u, v)
+        du, dv = rhs(params, State2(u, v))
         return -du, -dv
 
     others = [
@@ -502,43 +503,33 @@ def trace_separatrix(
         for eq in all_equilibria(params)
         if math.hypot(eq.point.u - saddle.point.u, eq.point.v - saddle.point.v) > 1e-9
     ]
+    (ulo, uhi), (vlo, vhi) = box
+
+    def at_rest(u: float, v: float, du: float, dv: float) -> bool:
+        return math.hypot(du, dv) < 1e-10 or any(
+            math.hypot(u - eq.point.u, v - eq.point.v) < 1e-6 for eq in others
+        )
 
     def trace_branch(sign: float) -> List[State2]:
         u = saddle.point.u + sign * delta * float(vs[0])
         v = saddle.point.v + sign * delta * float(vs[1])
         pts: List[State2] = [State2(u, v)]
-        t, h = 0.0, 1e-4
-        (ulo, uhi), (vlo, vhi) = box
-        du, dv = backward(u, v)
-        for _ in range(200_000):
-            if t >= max_backward_time:
-                break
-            if math.hypot(du, dv) < 1e-10:
-                break
-            if any(
-                math.hypot(u - eq.point.u, v - eq.point.v) < 1e-6 for eq in others
-            ):
-                break
-            h = min(h, max_backward_time - t)
-            u5, v5, k7u, k7v, eu, ev = _dp45(backward, u, v, h, du, dv)
-            if not (math.isfinite(u5) and math.isfinite(v5)):
-                h *= 0.25
-                if h < 1e-14:
-                    break
-                continue
-            err, factor = _step_control(u, v, u5, v5, eu, ev, rtol, atol)
-            if err > 1.0:
-                h *= factor
-                if h < 1e-14:
-                    break
-                continue
-            t += h
+
+        def accept(t, h, u, v, du, dv, u5, v5, k7u, k7v, factor):
             if not (ulo <= u5 <= uhi and vlo <= v5 <= vhi):
                 pts.append(_clip_to_box(State2(u, v), State2(u5, v5), box))
-                break
-            u, v, du, dv = u5, v5, k7u, k7v
-            pts.append(State2(u, v))
-            h *= factor
+                return None
+            pts.append(State2(u5, v5))
+            if at_rest(u5, v5, k7u, k7v):
+                return None
+            return t + h, u5, v5, k7u, k7v, h * factor
+
+        du, dv = backward(u, v)
+        if not at_rest(u, v, du, dv):
+            _adaptive_dp45(
+                backward, 0.0, u, v, du, dv, 1e-4, max_backward_time,
+                rtol, atol, SEPARATRIX_MAX_STEPS, accept,
+            )
         return pts
 
     plus = trace_branch(+1.0)

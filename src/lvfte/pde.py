@@ -40,6 +40,7 @@ from .exceptions import (
     NonFiniteField,
 )
 from .kinetics import KineticParams, Regime, classify_regime, safe_pow_arr
+from .ode import fte_coefficient
 
 __all__ = [
     "Grid1D",
@@ -54,7 +55,6 @@ __all__ = [
     "COEXIST",
     "UNDECIDED",
     "laplacian_neumann",
-    "safe_pow_arr",
     "simulate_pde",
     "single_species_steady_state",
     "check_recovery_conditions",
@@ -378,6 +378,8 @@ def single_species_steady_state(
     """
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParameter("diffusivity must be positive and finite")
+    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(t_max) and t_max > 0.0):
+        raise InvalidParameter(f"tol and t_max must be positive and finite, got {tol!r}, {t_max!r}")
     if m.values.max() <= 0.0:
         raise InvalidParameter("resource must be positive somewhere")
     profile = _steady_state(float(d), m.grid, m.values.tobytes(), float(tol), float(t_max))
@@ -422,7 +424,6 @@ class _ReferenceCache:
     def __init__(self, params: PdeParams, grid: Grid1D, opts: PdeOptions) -> None:
         self._params = params
         self._grid = grid
-        self._opts = opts
         self._u: Optional[np.ndarray] = opts.u_reference
         self._v: Optional[np.ndarray] = opts.v_reference
         self._u_failed = False
@@ -712,7 +713,7 @@ def check_recovery_conditions(
     v_star = (c2 * a1 - b1 * a2) / denom
     slope = v_star / u_star
 
-    coef = (a1 * c2 + (1.0 - p) * a1 * b1) / ((1.0 - p) * c1 * b1)
+    coef = fte_coefficient(params)
     lower = coef * safe_pow_arr(u_arr, 1.0 - p)
     upper = slope * u_arr
     cond1 = (lower <= v_arr) & (v_arr <= upper)

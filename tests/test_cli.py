@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
 import pytest
 
+import lvfte.ode
+from lvfte import State2
 from lvfte.cli import main
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -232,6 +235,20 @@ class TestSeparatrixCommand:
         u0, v_thr = (float(x) for x in thr_rows[1][1 - 1 :])
         assert v_thr == pytest.approx(14.4 * u0**0.6, rel=1e-12)
 
+    def test_non_finite_branch_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lvfte.ode, "rhs", lambda params, s: State2(math.nan, math.nan))
+        code = main(
+            [
+                "separatrix",
+                "--config",
+                str(CONFIGS / "separatrix_threshold.ini"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_no_saddle_is_a_numerical_failure(self, tmp_path):
         cfg = tmp_path / "weak.ini"
         cfg.write_text(WEAK_ODE)
@@ -388,6 +405,22 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--resolution"])
+    def test_scan_flags_are_rejected_by_other_commands(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "equilibria",
+                    "--config",
+                    str(CONFIGS / "equilibria_mixed_exponents.ini"),
+                    "--out",
+                    str(tmp_path / "out"),
+                    flag,
+                    "2",
+                ]
+            )
+        assert info.value.code == 2
 
     def test_bad_override_is_a_config_error(self, tmp_path):
         code = main(

@@ -150,6 +150,16 @@ class TestSingleSpeciesSteadyState:
         theta = single_species_steady_state(10.0, m)
         assert np.max(theta) - np.min(theta) < 1e-3
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(t_max=0.0), dict(t_max=math.inf), dict(tol=0.0), dict(tol=math.nan)],
+        ids=["t_max=0", "t_max=inf", "tol=0", "tol=nan"],
+    )
+    def test_rejects_bad_tol_and_t_max(self, kwargs):
+        m = logistic_resource(Grid1D(0.0, 1.0, 16))
+        with pytest.raises(InvalidParameter):
+            single_species_steady_state(0.01, m, **kwargs)
+
 
 class TestSimulatePde:
     def test_spatially_constant_run_tracks_the_ode(self):
