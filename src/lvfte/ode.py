@@ -127,7 +127,10 @@ def _adaptive_dp45(
         # Scaled RMS error; factor sizes the next attempt, the retry included.
         su = atol + rtol * max(abs(u), abs(u5))
         sv = atol + rtol * max(abs(v), abs(v5))
-        err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        try:
+            err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        except OverflowError:  # tolerances far below the error: reject
+            err = math.inf
         factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
         if err > 1.0:
             h *= factor
@@ -211,6 +214,12 @@ _KIND_NAMES = {
 }
 
 
+def _check_tolerances(rtol: float, atol: float) -> None:
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+
+
 def _clampable(params: AnyParams) -> Tuple[bool, bool]:
     """Which species carry an active non-smooth term that can force them to 0."""
     if isinstance(params, HarvestParams):
@@ -241,6 +250,7 @@ def integrate(
         raise InvalidParameter(f"initial condition must be componentwise >= 0, got {ic}")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise InvalidParameter(f"t_end must be positive and finite, got {t_end}")
+    _check_tolerances(opts.rtol, opts.atol)
 
     harvest = isinstance(params, HarvestParams)
     kinetics = harvest_rhs if harvest else rhs
@@ -474,6 +484,7 @@ def trace_separatrix(
     attempts.  Backward deviations off the manifold decay, so the tracing is
     self-correcting.
     """
+    _check_tolerances(rtol, atol)
     if saddle.stability is not Stability.SADDLE or saddle.jacobian is None:
         raise NotASaddle(f"separatrix tracing needs a saddle, got {saddle}")
     eigvals, eigvecs = np.linalg.eig(saddle.jacobian)

@@ -302,8 +302,9 @@ class _ImplicitDiffusion:
         return cho_solve_banded(self._factor, w.reshape(-1)).reshape(w.shape)
 
 
-# Reaction on the stacked field w = (u, v) of shape (2, n).
-Reaction = Callable[[np.ndarray], np.ndarray]
+# Reaction on the stacked field w = (u, v) of shape (2, n), given the rows
+# that are dead (zero everywhere after a finite-time extinction).
+Reaction = Callable[..., np.ndarray]
 
 
 def _make_reaction(params: PdeParams, n: int) -> Reaction:
@@ -315,6 +316,11 @@ def _make_reaction(params: PdeParams, n: int) -> Reaction:
     (resource flavour: u (m - u) - b u^p v and v (m - v) - c u v).
     The logistic coefficients are stored as full (2, n) rows: at n_x = 64 a
     broadcast (2, 1) column makes the logistic term about 1.7x slower.
+
+    ``react(w, dead)`` returns +0.0 on the rows in ``dead`` and skips both
+    cross terms.  That is exact for a field whose dead rows are +0.0 and
+    whose other entries are >= +0 (as after the clamp): the other row's
+    cross term is then exactly +0, and x - (+0) == x.
     """
     if params.kinetics is not None:
         k = params.kinetics
@@ -332,9 +338,13 @@ def _make_reaction(params: PdeParams, n: int) -> Reaction:
         def logistic(w: np.ndarray) -> np.ndarray:
             return w * (m - w)
 
-    def react(w: np.ndarray) -> np.ndarray:
-        u, v = w[0], w[1]
+    def react(w: np.ndarray, dead: Sequence[int] = ()) -> np.ndarray:
         out = logistic(w)
+        if dead:
+            for k in dead:
+                out[k] = 0.0
+            return out
+        u, v = w[0], w[1]
         out[0] -= c_u * safe_pow_arr(u, p) * v
         out[1] -= c_v * u * safe_pow_arr(v, q)
         return out
@@ -483,8 +493,8 @@ def simulate_pde(
     * VWins  -- mirror image,
     * Coexist -- both fields exceed tol_pos everywhere and the discrete
       time derivative of the computed solution, sup|w(t+dt) - w(t)| / dt
-      over both fields, is below tol_steady (the computed solution has
-      stopped changing),
+      over both fields on the last step before the check, is below
+      tol_steady (the computed solution has stopped changing),
     * Undecided -- none of the above by t_end (or when the step budget is
       exhausted), with a note.
 
@@ -497,6 +507,10 @@ def simulate_pde(
 
     ``fte_u_time`` / ``fte_v_time`` are the end of the step in which the
     field first reaches zero everywhere, so they are accurate to the step.
+    From then on that row is dead: it is held at +0.0, its reaction and the
+    other row's cross term are not computed in the IMEX tail or the clamp
+    (both are exactly zero there), and the tail test takes 0 as its sup
+    norm, so the run stays in the tail.  This changes no computed value.
 
     A non-finite step is retried with half the time step; below ``dt_min``
     this raises CflViolation.  Non-finite initial data raises
@@ -555,17 +569,31 @@ def simulate_pde(
     t = 0.0
     steps = 0
 
+    # A clampable row is dead from its FTE time on: it is +0.0 everywhere
+    # then and stays +-0 through every solve and reaction, so the clamp
+    # writes +0.0 to it instead of testing it; only the live clampable rows
+    # go through the mask.
+    dead: List[int] = []
+    live = [k for k in (0, 1) if clampable[k]]
+    live_mask = np.array(clampable).reshape(2, 1)
+
     def apply_clamp(t_now: float) -> None:
         np.maximum(w, 0.0, out=w)
-        if any(clampable):
-            low = w < opts.eps_ext
-            low &= np.reshape(clampable, (2, 1))
-            if low.any():
-                low &= react(w) <= 0.0
-                w[low] = 0.0
-        for k in (0, 1):
-            if clampable[k] and fte_time[k] is None and not w[k].any():
+        for k in dead:
+            w[k] = 0.0
+        if not live:
+            return
+        low = w < opts.eps_ext
+        low &= live_mask
+        if low.any():
+            low &= react(w, dead) <= 0.0
+            w[low] = 0.0
+        for k in tuple(live):
+            if not w[k].any():
                 fte_time[k] = t_now
+                live.remove(k)
+                live_mask[k] = False
+                dead.append(k)
 
     def classify_now(rate: float) -> Optional[str]:
         u, v = w
@@ -592,19 +620,21 @@ def simulate_pde(
     budget_hit = False
     imex_tail = False
     for target in targets:
-        while target - t > 1e-12 * max(1.0, target):
+        slack = 1e-12 * max(1.0, target)
+        while target - t > slack:
             if steps >= opts.max_steps:
                 budget_hit = True
                 break
             h = min(dt, target - t)
             w_prev = w
-            low = float(w.max(axis=1).min())
+            # A dead row's sup norm is 0, which is the minimum.
+            low = 0.0 if dead else float(w.max(axis=1).min())
             if not imex_tail and low < opts.tail_threshold:
                 imex_tail = True
             elif imex_tail and low > 10.0 * opts.tail_threshold:
                 imex_tail = False
             if imex_tail:
-                w = get_solver(h).apply(w + h * react(w))
+                w = get_solver(h).apply(w + h * react(w, dead))
             else:
                 half = get_solver(0.5 * h)
                 w = half.apply(_rk4_reaction(react, half.apply(w), h))
@@ -619,7 +649,8 @@ def simulate_pde(
                 continue
             t += h
             apply_clamp(t)
-            last_rate = float(np.abs(w - w_prev).max()) / h
+            if target - t <= slack:  # the last step: classify_now reads its rate
+                last_rate = float(np.abs(w - w_prev).max()) / h
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break

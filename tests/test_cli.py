@@ -451,6 +451,23 @@ class TestErrorPaths:
         assert code == 3
         assert "max_steps=50" in capsys.readouterr().err
 
+    def test_zero_tolerances_are_a_parameter_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--config",
+                str(CONFIGS / "ode_extinction_event.ini"),
+                "--out",
+                str(tmp_path / "out"),
+                "--set",
+                "solver.rtol=0",
+                "--set",
+                "solver.atol=0",
+            ]
+        )
+        assert code == 2
+        assert "rtol must be positive and finite" in capsys.readouterr().err
+
     def test_wrong_model_kind_for_command(self, tmp_path):
         code = main(
             [

@@ -12,6 +12,7 @@ from lvfte import (
     NumericalError,
     Species,
     StepLimitReached,
+    StepSizeUnderflow,
     State2,
     classify_basin,
     comparison_extinction_time,
@@ -219,6 +220,23 @@ class TestHarvestDynamics:
         big = integrate(HARVEST, State2(1.5, 2.0), 400.0).final_state
         small = integrate(HARVEST, State2(0.2, 0.1), 400.0).final_state
         assert big.v > 1.0 and small.v == 0.0
+
+
+class TestTolerances:
+    @pytest.mark.parametrize(
+        "rtol, atol",
+        [(0.0, 1e-12), (1e-9, 0.0), (-1e-9, 1e-12), (math.nan, 1e-12), (1e-9, math.inf)],
+    )
+    def test_bad_tolerances_are_invalid_parameters(self, rtol, atol):
+        with pytest.raises(InvalidParameter, match="tol must be positive and finite"):
+            integrate(FTE_CERTIFIED, State2(0.5, 10.0), 10.0, IntegrateOptions(rtol=rtol, atol=atol))
+
+    def test_unreachable_tolerance_is_a_numerical_error(self):
+        # the scaled error overflows a float; the step is rejected until it underflows
+        with pytest.raises(StepSizeUnderflow):
+            integrate(
+                FTE_CERTIFIED, State2(0.5, 10.0), 10.0, IntegrateOptions(rtol=1e-300, atol=1e-300)
+            )
 
 
 class TestStepAccounting:

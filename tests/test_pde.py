@@ -318,7 +318,9 @@ def two_field_reference(params, init, t_end, opts):
     one field, kept as the bit-for-bit reference.  The only change is
     ``check_finite=False`` on the solves, so that a non-finite step reaches
     the dt-halving rule instead of raising ValueError inside scipy.
-    Returns (snapshots, outcome, entered_imex_tail, dt_halvings).
+    Returns (snapshots, outcome, entered_imex_tail, dt_halvings, deaths),
+    where ``deaths`` maps "u" / "v" to the step that first left the field
+    zero everywhere: "start" (the clamp at t = 0), "rk4" or "tail".
     """
     grid = init.grid
     n, dx = grid.n_x, grid.dx
@@ -351,9 +353,9 @@ def two_field_reference(params, init, t_end, opts):
     snapshots = [(0.0, PdeState(grid, u, v))]
     fte = {"u": None, "v": None}
     label, note, t, steps = None, "", 0.0, 0
-    entered_tail, halvings = False, 0
+    entered_tail, halvings, deaths = False, 0, {}
 
-    def clamp(t_now):
+    def clamp(t_now, mode):
         np.maximum(u, 0.0, out=u)
         np.maximum(v, 0.0, out=v)
         low_u, low_v = u < opts.eps_ext, v < opts.eps_ext
@@ -364,9 +366,9 @@ def two_field_reference(params, init, t_end, opts):
             if clamp_v:
                 v[low_v & (dv <= 0.0)] = 0.0
         if clamp_u and fte["u"] is None and not u.any():
-            fte["u"] = t_now
+            fte["u"], deaths["u"] = t_now, mode
         if clamp_v and fte["v"] is None and not v.any():
-            fte["v"] = t_now
+            fte["v"], deaths["v"] = t_now, mode
 
     def classify(rate):
         if float(v.max()) < opts.tol_out:
@@ -381,7 +383,7 @@ def two_field_reference(params, init, t_end, opts):
             return COEXIST
         return None
 
-    clamp(0.0)
+    clamp(0.0, "start")
     rate, tail, budget_hit = math.inf, False, False
     for target in sorted(events):
         while target - t > 1e-12 * max(1.0, target):
@@ -420,7 +422,7 @@ def two_field_reference(params, init, t_end, opts):
                     raise CflViolation("time step underflow")
                 continue
             t += h
-            clamp(t)
+            clamp(t, "tail" if tail else "rk4")
             rate = max(float(np.max(np.abs(u - u_prev))), float(np.max(np.abs(v - v_prev)))) / h
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
@@ -447,11 +449,16 @@ def two_field_reference(params, init, t_end, opts):
         fte_v_time=fte["v"],
         note=note,
     )
-    return snapshots, outcome, entered_tail, halvings
+    return snapshots, outcome, entered_tail, halvings, deaths
 
 
 def _stacked_cases():
-    """(name, params, init, t_end, opts, expect_tail, expect_halving)."""
+    """(name, params, init, t_end, opts, expect_tail, expect_halving, deaths).
+
+    ``deaths`` is the reference's map of the rows that reach zero everywhere
+    to the step that got them there ("start", "rk4" or "tail"), so each FTE
+    case shows that the dead-row path of simulate_pde is actually taken.
+    """
     g32 = Grid1D(0.0, 1.0, 32)
     x32 = g32.centers()
     g64 = Grid1D(0.0, 1.0, 64)
@@ -459,40 +466,70 @@ def _stacked_cases():
     half = m64.values / 2.0 + 0.01
     L = 0.071429
     g48 = Grid1D(0.0, L, 48)
-    band = 0.03 + 0.02 * np.cos(np.pi * g48.centers() / L)
+    x48 = g48.centers()
+    band = 0.03 + 0.02 * np.cos(np.pi * x48 / L)
+    clamp_opts = PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0))
+    recovery_pq = KineticParams(a1=1.1, b1=1, c1=1.2, a2=1, b2=1, c2=2, p=0.1, q=0.5)
     map_opts = PdeOptions(dt=0.5, check_interval=100.0, max_steps=200_000)
     cases = [
         # smooth exclusion; v decays into the IMEX tail before the verdict
         ("const-exclusion-tail", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
          PdeState(g32, 0.5 + 0.1 * np.cos(np.pi * x32), np.full(32, 0.5)), 400.0,
-         PdeOptions(dt=0.05, check_interval=20.0, early_stop=False), True, False),
+         PdeOptions(dt=0.05, check_interval=20.0, early_stop=False), True, False, {}),
         ("const-coexist-snapshots", PdeParams(0.05, 0.01, kinetics=WEAK),
          PdeState(g32, 0.4 + 0.2 * np.cos(np.pi * x32), np.full(32, 0.3)), 300.0,
-         PdeOptions(dt=0.02, snapshot_times=(0.7, 3.1, 42.0), check_interval=10.0), False, False),
-        # p < 1: u is clamped to zero in finite time
+         PdeOptions(dt=0.02, snapshot_times=(0.7, 3.1, 42.0), check_interval=10.0), False, False,
+         {}),
+        # p < 1: u is clamped to zero in finite time, on an RK4 step
         ("const-p-clamp", PdeParams(1.0, 0.001, kinetics=RECOVERY),
+         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
+        # the same with the IMEX tail off: RK4 keeps stepping the dead row
+        ("const-p-clamp-no-tail", PdeParams(1.0, 0.001, kinetics=RECOVERY),
          PdeState(g48, band, 6.0 * band), 400.0,
-         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0)), True, False),
+         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0), tail_threshold=0.0), False, False,
+         {"u": "rk4"}),
+        # p < 1 and q < 1: u dies while v is still a live clampable row
+        ("const-pq-u-dies-v-live", PdeParams(1.0, 0.001, kinetics=recovery_pq),
+         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
+        # the mirror: v dies while u is still a live clampable row
+        ("const-pq-v-dies-u-live", PdeParams(0.001, 1.0, kinetics=KineticParams(
+            a1=1, b1=1, c1=2, a2=1.1, b2=1, c2=1.2, p=0.5, q=0.1)),
+         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, True, False, {"v": "rk4"}),
+        # u is dead from t = 0; v invades from the left, and its front goes
+        # through the clamp test while u's row is dead
+        ("const-pq-v-front-after-u-dead", PdeParams(1.0, 1e-4, kinetics=recovery_pq),
+         PdeState(g48, np.zeros(48), np.where(x48 < L / 4, 6.0 * band, 0.0)), 200.0,
+         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0, 20.0), check_interval=10.0),
+         True, False, {"u": "start"}),
+        # both rows dead from t = 0
+        ("const-pq-both-dead", PdeParams(0.01, 0.02, kinetics=recovery_pq),
+         PdeState(g48, np.zeros(48), np.zeros(48)), 5.0,
+         PdeOptions(dt=0.05, snapshot_times=(1.0,), check_interval=2.0), True, False,
+         {"u": "start", "v": "start"}),
         # q < 1: the mirror image clamps v
         ("const-q-clamp", PdeParams(0.001, 1.0, kinetics=KineticParams(
             a1=1, b1=1, c1=2, a2=1.1, b2=1, c2=1.2, p=1.0, q=0.1)),
-         PdeState(g48, 6.0 * band, band), 400.0,
-         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0)), True, False),
+         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, True, False, {"v": "rk4"}),
         # criterion 6 cells: smooth resource kinetics and the p = 0.7 flip
         ("resource-p1", PdeParams(3.98e-3, 3.98e-2, b=0.999, c=0.999, p=1.0, m=m64),
-         PdeState(g64, half, half), 60000.0, map_opts, True, False),
+         PdeState(g64, half, half), 60000.0, map_opts, True, False, {}),
         ("resource-p07", PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m64),
-         PdeState(g64, half, half), 60000.0, map_opts, True, False),
+         PdeState(g64, half, half), 60000.0, map_opts, True, False, {"u": "rk4"}),
         # u starts at 1e20 on three cells: RK4 overflows until dt has been
         # halved twice, and the overshoot then zeroes both fields, which
         # sends the run into the IMEX tail
         ("dt-halving", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
          PdeState(g32, np.where(x32 < 0.1, 1e20, 0.5), np.full(32, 0.5)), 20.0,
          PdeOptions(dt=1.0, check_interval=5.0, snapshot_times=(0.3,), early_stop=False),
-         True, True),
+         True, True, {}),
     ]
     rng = np.random.default_rng(11)
-    for k, (p, q) in enumerate(((1.0, 1.0), (0.5, 1.0), (1.0, 0.4), (0.6, 0.7))):
+    seeded = (
+        (1.0, 1.0, {}), (0.5, 1.0, {}), (1.0, 0.4, {"v": "rk4"}),
+        # v dies in the IMEX tail while u is a live clampable row
+        (0.6, 0.7, {"v": "tail"}),
+    )
+    for k, (p, q, deaths) in enumerate(seeded):
         a1, a2 = rng.uniform(0.5, 3.0, 2)
         b1, b2 = rng.uniform(0.5, 1.5, 2)
         c1, c2 = rng.uniform(0.2, 2.5, 2)
@@ -504,7 +541,7 @@ def _stacked_cases():
             PdeParams(d1, d2, kinetics=KineticParams(a1, a2, b1, b2, c1, c2, p, q)),
             PdeState(g32, u0, v0), 200.0,
             PdeOptions(dt=0.05, snapshot_times=(1.0, 12.5), check_interval=10.0),
-            None, False,
+            None, False, deaths,
         ))
     return cases
 
@@ -513,27 +550,52 @@ STACKED_CASES = _stacked_cases()
 
 
 @pytest.mark.parametrize(
-    "name, params, init, t_end, opts, expect_tail, expect_halving",
+    "name, params, init, t_end, opts, expect_tail, expect_halving, deaths",
     STACKED_CASES,
     ids=[case[0] for case in STACKED_CASES],
 )
 def test_stacked_stepper_matches_two_field_reference(
-    name, params, init, t_end, opts, expect_tail, expect_halving
+    name, params, init, t_end, opts, expect_tail, expect_halving, deaths
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing attempts
-        ref_snaps, ref_outcome, entered_tail, halvings = two_field_reference(
+        ref_snaps, ref_outcome, entered_tail, halvings, ref_deaths = two_field_reference(
             params, init, t_end, opts
         )
         snaps, outcome = simulate_pde(params, init, t_end, opts)
     if expect_tail is not None:
         assert entered_tail == expect_tail
     assert (halvings > 0) == expect_halving
+    assert ref_deaths == deaths
+    assert (outcome.fte_u, outcome.fte_v) == ("u" in deaths, "v" in deaths)
     assert outcome == ref_outcome
     assert [t for t, _ in snaps] == [t for t, _ in ref_snaps]
     for (_, got), (_, want) in zip(snaps, ref_snaps):
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
+
+
+def test_dead_row_skips_the_cross_terms(monkeypatch):
+    # criterion 6 cell (0, 15) at p = 0.7: u is zero everywhere from
+    # t = 30.5 on; after that no step evaluates u^p or the cross terms
+    calls = []
+
+    def counted(x, e):
+        calls.append(e)
+        return safe_pow_arr(x, e)
+
+    monkeypatch.setattr(lvfte_pde, "safe_pow_arr", counted)
+    g = Grid1D(0.0, 1.0, 64)
+    m = logistic_resource(g)
+    half = m.values / 2.0 + 0.01
+    params = PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m)
+    counts = []
+    for t_end in (35.0, 100.0):
+        calls.clear()
+        _, outcome = simulate_pde(params, PdeState(g, half, half), t_end, PdeOptions(dt=0.5))
+        assert outcome.fte_u_time == 30.5
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_joint_block_factor_equals_separate_factors():

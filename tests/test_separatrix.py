@@ -5,6 +5,7 @@ import pytest
 
 import lvfte.ode as ode_mod
 from lvfte import (
+    InvalidParameter,
     KineticParams,
     NonFiniteState,
     NotASaddle,
@@ -161,6 +162,18 @@ class TestTraceSeparatrix:
         # no step can meet this tolerance, so every attempt is rejected
         with pytest.raises(StepSizeUnderflow):
             trace_separatrix(STRONG_LOPSIDED, saddle_of(STRONG_LOPSIDED), rtol=1e-100, atol=1e-100)
+
+    def test_overflowing_error_norm_raises_step_size_underflow(self):
+        # the scaled error overflows a float, which rejects the step
+        with pytest.raises(StepSizeUnderflow):
+            trace_separatrix(STRONG_LOPSIDED, saddle_of(STRONG_LOPSIDED), rtol=1e-300, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "rtol, atol", [(0.0, 1e-12), (1e-9, -1e-12), (math.nan, 1e-12), (1e-9, math.inf)]
+    )
+    def test_bad_tolerances_are_invalid_parameters(self, rtol, atol):
+        with pytest.raises(InvalidParameter, match="tol must be positive and finite"):
+            trace_separatrix(STRONG_LOPSIDED, saddle_of(STRONG_LOPSIDED), rtol=rtol, atol=atol)
 
     def test_step_limit_raises(self, monkeypatch):
         monkeypatch.setattr(ode_mod, "SEPARATRIX_MAX_STEPS", 20)
