@@ -162,8 +162,10 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     saddle = saddles[0]
     delta = float(cfg.get("separatrix", "delta", 1e-6))
     max_back = float(cfg.get("separatrix", "max_backward_time", 200.0))
+    tols = _integrate_options(cfg)
     sep = trace_separatrix(
-        params, saddle, delta=delta, max_backward_time=max_back
+        params, saddle, delta=delta, max_backward_time=max_back,
+        rtol=tols.rtol, atol=tols.atol,
     )
     rows = []
     arc = 0.0
@@ -195,7 +197,16 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     return result
 
 
+def _reject_tolerances(cfg: ExperimentConfig, command: str) -> None:
+    for key in ("rtol", "atol"):
+        if cfg.get("solver", key) is not None:
+            raise ConfigError(
+                f"solver.{key} does not apply to {command}: the PDE stepper has no tolerance"
+            )
+
+
 def _pde_options(cfg: ExperimentConfig) -> PdeOptions:
+    _reject_tolerances(cfg, "pde")
     opts = PdeOptions()
     dt = cfg.get("solver", "dt")
     if dt is not None:
@@ -287,6 +298,7 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
     kind = cfg.kind
     if kind not in ("pde-const", "pde-inhomogeneous"):
         raise ConfigError("diffusion scan requires a PDE model kind")
+    _reject_tolerances(cfg, "a diffusion scan")
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .exceptions import (
     CflViolation,
@@ -239,6 +237,27 @@ class PdeOptions:
     u_reference: Optional[np.ndarray] = None
     v_reference: Optional[np.ndarray] = None
 
+    def validate(self) -> None:
+        """Raise InvalidParameter for values that would end a run silently.
+
+        A given ``dt`` and ``dt_min`` must be finite and positive: at
+        ``dt_min`` = 0 the dt-halving rule never raises and burns the step
+        budget on zero-length steps.  ``max_steps`` must be at least 1 and
+        no other float field may be NaN.  A ``tail_threshold`` of 0 (never
+        switch to the IMEX tail) and a ``check_interval`` <= 0 (no periodic
+        checks) stay legal.
+        """
+        for name in ("dt", "dt_min"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+        if self.max_steps < 1:
+            raise InvalidParameter(f"max_steps must be at least 1, got {self.max_steps!r}")
+        for name in ("check_interval", "tol_out", "tol_pos", "tol_steady",
+                     "eps_ext", "tail_threshold"):
+            if math.isnan(getattr(self, name)):
+                raise InvalidParameter(f"{name} must not be NaN")
+
 
 def laplacian_neumann(f: np.ndarray, dx: float) -> np.ndarray:
     """Second difference with zero-flux closure on a cell-centred grid.
@@ -260,16 +279,37 @@ def laplacian_neumann(f: np.ndarray, dx: float) -> np.ndarray:
     return lap
 
 
+# scipy's banded Cholesky and LAPACK dpbtrs, bound by the first
+# cholesky_banded call: the ODE, equilibria and config layers need numpy
+# only, so importing lvfte does not import scipy.
+_scipy_cholesky_banded = None
+_dpbtrs = None
+
+
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor of ``ab`` (``scipy.linalg.cholesky_banded``).
+
+    The first call imports scipy and binds LAPACK ``dpbtrs`` for
+    ``cho_solve_banded``.
+    """
+    global _scipy_cholesky_banded, _dpbtrs
+    if _scipy_cholesky_banded is None:
+        from scipy.linalg import cholesky_banded as _scipy_cholesky_banded
+        from scipy.linalg.lapack import dpbtrs as _dpbtrs
+    return _scipy_cholesky_banded(ab)
+
+
 def cho_solve_banded(cb_and_lower: Tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the banded Cholesky factor of A (LAPACK dpbtrs).
 
+    The factor must come from ``cholesky_banded``, which binds ``dpbtrs``.
     Unlike ``scipy.linalg.cho_solve_banded`` this neither converts ``b`` nor
     checks it for non-finite values: the factor was checked once when
     ``cholesky_banded`` built it, and a non-finite right-hand side gives a
     non-finite solution, which the stepper rejects after the step.
     """
     cb, lower = cb_and_lower
-    x, info = dpbtrs(cb, b, lower=lower)
+    x, info = _dpbtrs(cb, b, lower=lower)
     if info != 0:
         raise ValueError(f"dpbtrs: illegal value in argument {-info}")
     return x
@@ -514,10 +554,12 @@ def simulate_pde(
 
     A non-finite step is retried with half the time step; below ``dt_min``
     this raises CflViolation.  Non-finite initial data raises
-    NonFiniteField.
+    NonFiniteField, and options that fail ``PdeOptions.validate`` raise
+    InvalidParameter.
     """
     if opts is None:
         opts = PdeOptions()
+    opts.validate()
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise InvalidParameter("t_end must be positive and finite")
     grid = init.grid
@@ -535,8 +577,6 @@ def simulate_pde(
     refs = _ReferenceCache(params, grid, opts)
 
     dt = opts.dt if opts.dt is not None else _default_dt(params)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameter("dt must be positive and finite")
 
     diffusivities = (params.d1, params.d2)
     solvers: Dict[float, _ImplicitDiffusion] = {}

@@ -17,7 +17,6 @@ competition regime of the p = q = 1 baseline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -161,6 +160,7 @@ def scan_diffusion(
         raise InvalidParameter("t_end must be positive and finite")
     if options is None:
         options = PdeOptions(check_interval=max(1.0, t_end / 4096.0))
+    options.validate()  # once for the sweep, not as an Undecided note per cell
 
     init = initial_state_for_policy(template, grid, ic_policy, ic_offset)
     tasks = []
@@ -181,6 +181,9 @@ def scan_diffusion(
     if workers == 1:
         results = map(_run_cell, tasks)
     else:
+        # Imported here so that importing lvfte does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_run_cell, tasks, chunksize=1))

@@ -468,6 +468,33 @@ class TestErrorPaths:
         assert code == 2
         assert "rtol must be positive and finite" in capsys.readouterr().err
 
+    def test_separatrix_reads_the_solver_tolerances(self, tmp_path, capsys):
+        def run(out, *sets):
+            args = ["separatrix", "--config", str(CONFIGS / "separatrix_threshold.ini"),
+                    "--out", str(tmp_path / out)]
+            for item in sets:
+                args += ["--set", item]
+            return main(args)
+
+        assert run("zero", "solver.rtol=0", "solver.atol=0") == 2
+        assert "rtol must be positive and finite" in capsys.readouterr().err
+        assert run("default") == 0
+        assert run("loose", "solver.rtol=1e-5", "solver.atol=1e-8") == 0
+        default = (tmp_path / "default" / "separatrix.csv").read_bytes()
+        assert (tmp_path / "loose" / "separatrix.csv").read_bytes() != default
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize(
+        "command, recipe", [("pde", "pde_extinction_vs_recovery"), ("scan", "scan_outcome_map")]
+    )
+    def test_pde_steppers_reject_solver_tolerances(self, tmp_path, capsys, command, recipe, key):
+        code = main(
+            [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out"),
+             "--set", f"solver.{key}=1e-6"]
+        )
+        assert code == 2
+        assert f"solver.{key} does not apply" in capsys.readouterr().err
+
     def test_wrong_model_kind_for_command(self, tmp_path):
         code = main(
             [

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -629,6 +630,74 @@ class TestNonFiniteStep:
             )
         assert grid.labels == ((UNDECIDED, UNDECIDED),)
         assert all(note.startswith("CflViolation: ") for note in grid.notes[0])
+
+    def test_zero_dt_min_is_rejected_not_a_burnt_step_budget(self):
+        g = Grid1D(0.0, 1.0, 16)
+        init = PdeState(g, np.full(16, 1e30), np.full(16, 1.0))
+        opts = PdeOptions(dt=50.0, dt_min=0.0, max_steps=3000)
+        with pytest.raises(InvalidParameter, match="dt_min"):
+            simulate_pde(self.PARAMS, init, 200.0, opts)
+
+
+class TestOptionValidation:
+    GRID = Grid1D(0.0, 1.0, 16)
+    PARAMS = PdeParams(0.01, 0.02, kinetics=WEAK)
+    INIT = PdeState(GRID, np.full(16, 0.5), np.full(16, 0.6))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dt", 0.0), ("dt", math.nan), ("dt_min", 0.0), ("dt_min", -1e-12),
+         ("dt_min", math.inf), ("dt_min", math.nan), ("max_steps", 0),
+         ("check_interval", math.nan), ("tol_out", math.nan), ("tol_pos", math.nan),
+         ("tol_steady", math.nan), ("eps_ext", math.nan), ("tail_threshold", math.nan)],
+    )
+    def test_bad_value_raises_for_a_run_and_a_sweep(self, field, value):
+        opts = replace(PdeOptions(dt=0.01), **{field: value})
+        with pytest.raises(InvalidParameter, match=field):
+            simulate_pde(self.PARAMS, self.INIT, 1.0, opts)
+        with pytest.raises(InvalidParameter, match=field):
+            scan_diffusion(self.PARAMS, (0.01,), (0.02,), 1.0, grid=self.GRID,
+                           options=opts, workers=1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("tail_threshold", 0.0), ("check_interval", 0.0), ("check_interval", -1.0)]
+    )
+    def test_documented_edge_values_stay_legal(self, field, value):
+        opts = replace(PdeOptions(dt=0.01), **{field: value})
+        _, outcome = simulate_pde(self.PARAMS, self.INIT, 1.0, opts)
+        assert outcome.t_reached == pytest.approx(1.0)
+
+
+def test_every_factorisation_and_solve_goes_through_the_module_names(monkeypatch):
+    # perfbench's tracer counts lvfte.pde.cholesky_banded and cho_solve_banded
+    # by replacing those module attributes, so no call may bypass them
+    calls = {"factor": 0, "solve": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lvfte_pde, "cholesky_banded", counted("factor", lvfte_pde.cholesky_banded))
+    monkeypatch.setattr(lvfte_pde, "cho_solve_banded", counted("solve", lvfte_pde.cho_solve_banded))
+    # 20 Strang steps of h = 0.5: one factor for h/2, two solves per step
+    g = Grid1D(0.0, 1.0, 16)
+    init = PdeState(g, np.full(16, 0.5), np.full(16, 0.6))
+    simulate_pde(PdeParams(0.01, 0.02, kinetics=WEAK), init, 10.0,
+                 PdeOptions(dt=0.5, early_stop=False))
+    assert calls == {"factor": 1, "solve": 40}
+
+    # the steady-state march: one factor per _ImplicitDiffusion, one solve per apply
+    monkeypatch.setattr(lvfte_pde._ImplicitDiffusion, "__init__",
+                        counted("built", lvfte_pde._ImplicitDiffusion.__init__))
+    monkeypatch.setattr(lvfte_pde._ImplicitDiffusion, "apply",
+                        counted("applied", lvfte_pde._ImplicitDiffusion.apply))
+    calls.update(factor=0, solve=0, built=0, applied=0)
+    lvfte_pde._steady_state.cache_clear()
+    single_species_steady_state(2.5e-3, logistic_resource(Grid1D(0.0, 1.0, 64)))
+    assert calls["factor"] == calls["built"] > 1
+    assert calls["solve"] == calls["applied"] > 64
 
 
 # ---------------------------------------------------------------------------
