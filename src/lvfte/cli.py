@@ -64,9 +64,17 @@ def _integrate_options(cfg: ExperimentConfig) -> IntegrateOptions:
     return opts
 
 
+def _reject_solver_keys(cfg: ExperimentConfig, command: str, keys: Sequence[str]) -> None:
+    """Raise ConfigError for a ``solver`` key that ``command`` never reads."""
+    for key in keys:
+        if cfg.get("solver", key) is not None:
+            raise ConfigError(f"solver.{key} does not apply to {command}, which never reads it")
+
+
 def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("equilibria requires model kind 'ode'")
+    _reject_solver_keys(cfg, "equilibria", ("rtol", "atol", "max_steps"))
     params = cfg.build_kinetics()
     eqs = all_equilibria(params)
     rows = []
@@ -153,6 +161,7 @@ def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object
 def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("separatrix requires model kind 'ode'")
+    _reject_solver_keys(cfg, "separatrix", ("max_steps",))
     params = cfg.build_kinetics()
     saddles = [
         eq for eq in interior_equilibria(params) if eq.stability is Stability.SADDLE
@@ -197,16 +206,8 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     return result
 
 
-def _reject_tolerances(cfg: ExperimentConfig, command: str) -> None:
-    for key in ("rtol", "atol"):
-        if cfg.get("solver", key) is not None:
-            raise ConfigError(
-                f"solver.{key} does not apply to {command}: the PDE stepper has no tolerance"
-            )
-
-
 def _pde_options(cfg: ExperimentConfig) -> PdeOptions:
-    _reject_tolerances(cfg, "pde")
+    _reject_solver_keys(cfg, "pde", ("rtol", "atol"))
     opts = PdeOptions()
     dt = cfg.get("solver", "dt")
     if dt is not None:
@@ -298,7 +299,7 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
     kind = cfg.kind
     if kind not in ("pde-const", "pde-inhomogeneous"):
         raise ConfigError("diffusion scan requires a PDE model kind")
-    _reject_tolerances(cfg, "a diffusion scan")
+    _reject_solver_keys(cfg, "a diffusion scan", ("rtol", "atol"))
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)
@@ -366,6 +367,7 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
 def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("c1-window scan requires model kind 'ode'")
+    _reject_solver_keys(cfg, "a c1-window scan", ("rtol", "atol", "max_steps"))
     template = cfg.build_kinetics()
     ws = scan_c1_window(
         template,

@@ -1,12 +1,14 @@
 """Reaction-diffusion twin of the kinetics on a 1-D interval.
 
 The model couples two diffusing densities through the same competition
-kinetics used by the ODE layer, with zero-flux (reflecting) boundaries.
-Two reaction flavours are supported:
-
-* constant coefficients taken from a :class:`~lvfte.kinetics.KineticParams`,
-* a spatially varying resource ``m(x)`` with unit logistic self-limitation,
-  competition strengths ``b`` (on u, with exponent ``p``) and ``c`` (on v).
+kinetics used by the ODE layer, with zero-flux (reflecting) boundaries:
+u_t = d1 u_xx + u (g_u - k_u u) - c_u u^p v, and v alike with d2, g_v, k_v
+and c_v u v^q.  Both flavours of :class:`PdeParams` resolve into one record
+of per-point growth rows g, crowding rows k, c_u, c_v, p and q.  Constant
+kinetics give g = (a1, a2), k = (b1, b2), c_u = c1, c_v = c2 and the
+closed-form survivors a1/b1 and a2/b2.  A resource m(x) gives g = m for
+both species, unit crowding, c_u = b, c_v = c and q = 1; its survivors are
+single-species steady states, marched once per diffusivity.
 
 Space is discretised on cell centres, ``x_i = x0 + (i + 1/2) dx``, so the
 zero-flux closure is a one-sided difference at each end.  Time stepping is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -342,44 +344,60 @@ class _ImplicitDiffusion:
         return cho_solve_banded(self._factor, w.reshape(-1)).reshape(w.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class _Kinetics:
+    """The reaction of a PdeParams on n points (see the module docstring).
+
+    ``growth`` and ``crowding`` are full (2, n) rows, u's first: at n_x = 64
+    a broadcast (2, 1) column makes the logistic term about 1.7x slower.
+    ``survivors`` holds the closed-form survivor rows, or for a resource the
+    field whose single-species steady states are the survivors.
+    """
+
+    growth: np.ndarray
+    crowding: np.ndarray
+    c_u: float
+    c_v: float
+    p: float
+    q: float
+    survivors: Union[np.ndarray, ResourceField]
+
+
+def _resolve(params: PdeParams, n: int) -> _Kinetics:
+    """The one reader of the flavour fields outside PdeParams and the grid check."""
+    kin = params.kinetics
+    if kin is None:
+        growth = np.stack((params.m.values, params.m.values))
+        return _Kinetics(growth, np.ones_like(growth), params.b, params.c,
+                         params.p, 1.0, params.m)
+    growth = np.repeat([[kin.a1], [kin.a2]], n, axis=1)
+    crowding = np.repeat([[kin.b1], [kin.b2]], n, axis=1)
+    return _Kinetics(growth, crowding, kin.c1, kin.c2, kin.p, kin.q, growth / crowding)
+
+
 # Reaction on the stacked field w = (u, v) of shape (2, n), given the rows
 # that are dead (zero everywhere after a finite-time extinction).
 Reaction = Callable[..., np.ndarray]
 
 
-def _make_reaction(params: PdeParams, n: int) -> Reaction:
-    """Vectorised reaction term d(u, v)/dt for either flavour on n points.
+def _make_reaction(rec: _Kinetics) -> Reaction:
+    """Vectorised reaction term d(u, v)/dt of a resolved record.
 
     Every entry is computed with the same floating-point operations, in the
     same order, as the per-species formulas
-    du = u (a1 - b1 u) - c1 u^p v and dv = v (a2 - b2 v) - c2 u v^q
-    (resource flavour: u (m - u) - b u^p v and v (m - v) - c u v).
-    The logistic coefficients are stored as full (2, n) rows: at n_x = 64 a
-    broadcast (2, 1) column makes the logistic term about 1.7x slower.
+    du = u (g_u - k_u u) - c_u u^p v and dv = v (g_v - k_v v) - c_v u v^q.
+    (For unit crowding, 1.0 * w == w bit for bit.)
 
     ``react(w, dead)`` returns +0.0 on the rows in ``dead`` and skips both
     cross terms.  That is exact for a field whose dead rows are +0.0 and
     whose other entries are >= +0 (as after the clamp): the other row's
     cross term is then exactly +0, and x - (+0) == x.
     """
-    if params.kinetics is not None:
-        k = params.kinetics
-        growth = np.repeat([[k.a1], [k.a2]], n, axis=1)
-        crowding = np.repeat([[k.b1], [k.b2]], n, axis=1)
-        c_u, c_v, p, q = k.c1, k.c2, k.p, k.q
-
-        def logistic(w: np.ndarray) -> np.ndarray:
-            return w * (growth - crowding * w)
-
-    else:
-        m = np.stack((params.m.values, params.m.values))
-        c_u, c_v, p, q = params.b, params.c, params.p, 1.0
-
-        def logistic(w: np.ndarray) -> np.ndarray:
-            return w * (m - w)
+    growth, crowding = rec.growth, rec.crowding
+    c_u, c_v, p, q = rec.c_u, rec.c_v, rec.p, rec.q
 
     def react(w: np.ndarray, dead: Sequence[int] = ()) -> np.ndarray:
-        out = logistic(w)
+        out = w * (growth - crowding * w)
         if dead:
             for k in dead:
                 out[k] = 0.0
@@ -390,13 +408,6 @@ def _make_reaction(params: PdeParams, n: int) -> Reaction:
         return out
 
     return react
-
-
-def _pde_clampable(params: PdeParams) -> Tuple[bool, bool]:
-    """Which species may be hard-zeroed below eps_ext (exponent < 1)."""
-    if params.kinetics is not None:
-        return params.kinetics.p < 1.0, params.kinetics.q < 1.0
-    return params.p < 1.0, False
 
 
 def _rk4_reaction(react: Reaction, w: np.ndarray, h: float) -> np.ndarray:
@@ -469,52 +480,38 @@ def _steady_state(
 
 
 class _ReferenceCache:
-    """Lazy single-survivor reference profiles for exclusion verdicts."""
+    """Lazy single-survivor reference profiles for exclusion verdicts.
 
-    def __init__(self, params: PdeParams, grid: Grid1D, opts: PdeOptions) -> None:
-        self._params = params
-        self._grid = grid
-        self._u: Optional[np.ndarray] = opts.u_reference
-        self._v: Optional[np.ndarray] = opts.v_reference
-        self._u_failed = False
-        self._v_failed = False
+    ``ref(k)`` is row k's profile: the override in the options, else the
+    record's closed form, else the single-species steady state of the
+    record's resource at diffusivity ``ds[k]``.  A march that fails sets
+    ``note`` and is not retried.
+    """
+
+    def __init__(self, rec: _Kinetics, ds: Tuple[float, float], opts: PdeOptions) -> None:
+        self._rec = rec
+        self._ds = ds
+        self._refs: List[Optional[np.ndarray]] = [opts.u_reference, opts.v_reference]
+        self._failed = [False, False]
         self.note = ""
 
-    def _single(self, dcoef: float) -> Optional[np.ndarray]:
-        try:
-            return single_species_steady_state(dcoef, self._params.m)
-        except (NonConvergence, InvalidParameter) as exc:
-            self.note = f"reference profile unavailable: {exc}"
-            return None
-
-    def u_ref(self) -> Optional[np.ndarray]:
-        if self._u is None and not self._u_failed:
-            if self._params.kinetics is not None:
-                k = self._params.kinetics
-                self._u = np.full(self._grid.n_x, k.a1 / k.b1)
+    def ref(self, k: int) -> Optional[np.ndarray]:
+        if self._refs[k] is None and not self._failed[k]:
+            survivors = self._rec.survivors
+            if not isinstance(survivors, ResourceField):
+                self._refs[k] = survivors[k]
             else:
-                self._u = self._single(self._params.d1)
-                self._u_failed = self._u is None
-        return self._u
-
-    def v_ref(self) -> Optional[np.ndarray]:
-        if self._v is None and not self._v_failed:
-            if self._params.kinetics is not None:
-                k = self._params.kinetics
-                self._v = np.full(self._grid.n_x, k.a2 / k.b2)
-            else:
-                self._v = self._single(self._params.d2)
-                self._v_failed = self._v is None
-        return self._v
+                try:
+                    self._refs[k] = single_species_steady_state(self._ds[k], survivors)
+                except (NonConvergence, InvalidParameter) as exc:
+                    self.note = f"reference profile unavailable: {exc}"
+                    self._failed[k] = True
+        return self._refs[k]
 
 
-def _default_dt(params: PdeParams) -> float:
-    if params.kinetics is not None:
-        k = params.kinetics
-        rate = max(k.a1, k.a2, k.c1, k.c2)
-    else:
-        rate = max(float(params.m.values.max()), params.b, params.c, 1e-6)
-    return 0.05 / rate
+def _default_dt(rec: _Kinetics) -> float:
+    """A reaction-limited step: 0.05 over the largest rate coefficient."""
+    return 0.05 / max(float(rec.growth.max()), rec.c_u, rec.c_v, 1e-6)
 
 
 def simulate_pde(
@@ -572,13 +569,14 @@ def simulate_pde(
         raise NonFiniteField("initial fields must be finite")
 
     n, dx = grid.n_x, grid.dx
-    react = _make_reaction(params, n)
-    clampable = _pde_clampable(params)
-    refs = _ReferenceCache(params, grid, opts)
-
-    dt = opts.dt if opts.dt is not None else _default_dt(params)
-
+    rec = _resolve(params, n)
+    react = _make_reaction(rec)
+    clampable = (rec.p < 1.0, rec.q < 1.0)
     diffusivities = (params.d1, params.d2)
+    refs = _ReferenceCache(rec, diffusivities, opts)
+
+    dt = opts.dt if opts.dt is not None else _default_dt(rec)
+
     solvers: Dict[float, _ImplicitDiffusion] = {}
 
     def get_solver(h_eff: float) -> _ImplicitDiffusion:
@@ -636,22 +634,13 @@ def simulate_pde(
                 dead.append(k)
 
     def classify_now(rate: float) -> Optional[str]:
-        u, v = w
-        sup_u = float(u.max())
-        sup_v = float(v.max())
-        if sup_v < opts.tol_out:
-            ref = refs.u_ref()
-            if ref is not None and float(np.max(np.abs(u - ref))) < opts.tol_out:
-                return U_WINS
-        if sup_u < opts.tol_out:
-            ref = refs.v_ref()
-            if ref is not None and float(np.max(np.abs(v - ref))) < opts.tol_out:
-                return V_WINS
-        if (
-            float(u.min()) > opts.tol_pos
-            and float(v.min()) > opts.tol_pos
-            and rate < opts.tol_steady
-        ):
+        for k, wins in ((0, U_WINS), (1, V_WINS)):
+            if float(w[1 - k].max()) < opts.tol_out:
+                ref = refs.ref(k)
+                if ref is not None and float(np.max(np.abs(w[k] - ref))) < opts.tol_out:
+                    return wins
+        # both fields above tol_pos everywhere
+        if float(w.min()) > opts.tol_pos and rate < opts.tol_steady:
             return COEXIST
         return None
 

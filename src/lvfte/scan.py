@@ -31,6 +31,7 @@ from .pde import (
     PdeOptions,
     PdeParams,
     PdeState,
+    _resolve,
     simulate_pde,
 )
 
@@ -91,18 +92,16 @@ def initial_state_for_policy(
     """Build the shared initial fields for a sweep.
 
     The single supported policy, "half-resource", starts both species at
-    half the local carrying capacity plus a uniform offset, so neither
-    species is favoured and both start strictly positive.
+    half of u's local carrying capacity plus a uniform offset (m/2 + offset
+    for a resource template, a1/(2*b1) + offset for constant kinetics), so
+    neither species is favoured and both start strictly positive.
     """
     if policy != "half-resource":
         raise InvalidParameter(f"unknown initial-data policy {policy!r}")
     if not (math.isfinite(offset) and offset > 0.0):
         raise InvalidParameter("policy offset must be positive and finite")
-    if template.resource_model:
-        base = template.m.values / 2.0 + offset
-    else:
-        k = template.kinetics
-        base = np.full(grid.n_x, k.a1 / (2.0 * k.b1) + offset)
+    rec = _resolve(template, grid.n_x)
+    base = rec.growth[0] / (2.0 * rec.crowding[0]) + offset
     return PdeState(grid, base, base.copy())
 
 

@@ -495,6 +495,23 @@ class TestErrorPaths:
         assert code == 2
         assert f"solver.{key} does not apply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, recipe, sets",
+        [
+            ("separatrix", "separatrix_threshold", ["solver.max_steps=1"]),
+            ("equilibria", "equilibria_mixed_exponents", ["solver.rtol=0"]),
+            ("scan", "scan_exponent_window", ["solver.rtol=0", "solver.max_steps=1"]),
+        ],
+    )
+    def test_solver_keys_a_command_never_reads_are_rejected(
+        self, tmp_path, capsys, command, recipe, sets
+    ):
+        args = [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out")]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 2
+        assert f"{sets[0].split('=')[0]} does not apply" in capsys.readouterr().err
+
     def test_wrong_model_kind_for_command(self, tmp_path):
         code = main(
             [

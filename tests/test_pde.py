@@ -26,6 +26,7 @@ from lvfte import (
     ResourceField,
     State2,
     check_recovery_conditions,
+    initial_state_for_policy,
     integrate,
     laplacian_neumann,
     scan_diffusion,
@@ -319,6 +320,9 @@ def two_field_reference(params, init, t_end, opts):
     one field, kept as the bit-for-bit reference.  The only change is
     ``check_finite=False`` on the solves, so that a non-finite step reaches
     the dt-halving rule instead of raising ValueError inside scipy.
+    Its clamp flags, default ``dt`` and survivor profiles are the
+    per-flavour formulas written out here, so it shares none of that set-up
+    with simulate_pde.
     Returns (snapshots, outcome, entered_imex_tail, dt_halvings, deaths),
     where ``deaths`` maps "u" / "v" to the step that first left the field
     zero everywhere: "start" (the clamp at t = 0), "rk4" or "tail".
@@ -327,9 +331,32 @@ def two_field_reference(params, init, t_end, opts):
     n, dx = grid.n_x, grid.dx
     u, v = init.u.copy(), init.v.copy()
     react = _reference_reaction(params)
-    clamp_u, clamp_v = lvfte_pde._pde_clampable(params)
-    refs = lvfte_pde._ReferenceCache(params, grid, opts)
-    dt = opts.dt if opts.dt is not None else lvfte_pde._default_dt(params)
+    kin = params.kinetics
+    if kin is not None:
+        clamp_u, clamp_v = kin.p < 1.0, kin.q < 1.0
+        rate_max = max(kin.a1, kin.a2, kin.c1, kin.c2)
+    else:
+        clamp_u, clamp_v = params.p < 1.0, False
+        rate_max = max(float(params.m.values.max()), params.b, params.c, 1e-6)
+    dt = opts.dt if opts.dt is not None else 0.05 / rate_max
+    refs = {"u": opts.u_reference, "v": opts.v_reference}
+    ref_failed, ref_note = set(), []
+
+    def survivor(name):
+        if refs[name] is None and name not in ref_failed:
+            if kin is not None:
+                a, b = (kin.a1, kin.b1) if name == "u" else (kin.a2, kin.b2)
+                refs[name] = np.full(n, a / b)
+            else:
+                try:
+                    refs[name] = single_species_steady_state(
+                        params.d1 if name == "u" else params.d2, params.m
+                    )
+                except (NonConvergence, InvalidParameter) as exc:
+                    ref_note.append(f"reference profile unavailable: {exc}")
+                    ref_failed.add(name)
+        return refs[name]
+
     factors = {}
 
     def solve(dcoef, h, rhs):
@@ -373,11 +400,11 @@ def two_field_reference(params, init, t_end, opts):
 
     def classify(rate):
         if float(v.max()) < opts.tol_out:
-            ref = refs.u_ref()
+            ref = survivor("u")
             if ref is not None and float(np.max(np.abs(u - ref))) < opts.tol_out:
                 return U_WINS
         if float(u.max()) < opts.tol_out:
-            ref = refs.v_ref()
+            ref = survivor("v")
             if ref is not None and float(np.max(np.abs(v - ref))) < opts.tol_out:
                 return V_WINS
         if min(float(u.min()), float(v.min())) > opts.tol_pos and rate < opts.tol_steady:
@@ -438,7 +465,7 @@ def two_field_reference(params, init, t_end, opts):
     if label is None:
         label = UNDECIDED
         if not note:
-            note = f"no verdict by t={t:g}" + (f"; {refs.note}" if refs.note else "")
+            note = f"no verdict by t={t:g}" + (f"; {ref_note[-1]}" if ref_note else "")
     if snapshots[-1][0] != t:
         snapshots.append((t, PdeState(grid, u, v)))
     outcome = PdeOutcome(
@@ -574,6 +601,72 @@ def test_stacked_stepper_matches_two_field_reference(
     for (_, got), (_, want) in zip(snaps, ref_snaps):
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
+
+
+def _record_cases():
+    """(name, params) over both flavours, unit and non-unit crowding, p and q."""
+    g = Grid1D(0.0, 1.0, 24)
+    m = logistic_resource(g)
+    rng = np.random.default_rng(8)
+    a1, a2, b1, b2, c1, c2 = rng.uniform(0.3, 2.5, 6)
+    return [
+        ("const-unit-crowding-p01", PdeParams(0.1, 0.2, kinetics=RECOVERY)),
+        ("const-unit-crowding-pq1", PdeParams(0.1, 0.2, kinetics=WEAK)),
+        ("const-crowding-pq1", PdeParams(0.1, 0.2, kinetics=KineticParams(a1, a2, b1, b2, c1, c2))),
+        ("const-crowding-p", PdeParams(0.1, 0.2, kinetics=KineticParams(
+            a1, a2, b1, b2, c1, c2, p=0.4))),
+        ("const-crowding-q", PdeParams(0.1, 0.2, kinetics=KineticParams(
+            a1, a2, b1, b2, c1, c2, q=0.3))),
+        ("const-crowding-pq", PdeParams(0.1, 0.2, kinetics=KineticParams(
+            a1, a2, 1.0, b2, c1, c2, p=0.6, q=0.7))),
+        ("resource-p1", PdeParams(0.01, 0.1, b=0.999, c=1.3, p=1.0, m=m)),
+        ("resource-p07", PdeParams(0.01, 0.1, b=0.8, c=0.999, p=0.7, m=m)),
+    ]
+
+
+@pytest.mark.parametrize("name, params", _record_cases(), ids=[c[0] for c in _record_cases()])
+def test_resolved_record_matches_the_per_flavour_formulas(name, params):
+    n, offset = 24, 0.01
+    g = Grid1D(0.0, 1.0, n)
+    rec = lvfte_pde._resolve(params, n)
+    kin = params.kinetics
+    if kin is not None:
+        clampable = (kin.p < 1.0, kin.q < 1.0)
+        dt = 0.05 / max(kin.a1, kin.a2, kin.c1, kin.c2)
+        half = np.full(n, kin.a1 / (2.0 * kin.b1) + offset)
+        survivors = (np.full(n, kin.a1 / kin.b1), np.full(n, kin.a2 / kin.b2))
+    else:
+        clampable = (params.p < 1.0, False)
+        dt = 0.05 / max(float(params.m.values.max()), params.b, params.c, 1e-6)
+        half = params.m.values / 2.0 + offset
+        survivors = tuple(single_species_steady_state(d, params.m) for d in (params.d1, params.d2))
+    assert (rec.p < 1.0, rec.q < 1.0) == clampable
+    assert repr(lvfte_pde._default_dt(rec)) == repr(dt)
+    refs = lvfte_pde._ReferenceCache(rec, (params.d1, params.d2), PdeOptions())
+    for k in (0, 1):
+        assert refs.ref(k).tobytes() == survivors[k].tobytes()
+    state = initial_state_for_policy(params, g, "half-resource", offset)
+    assert state.u.tobytes() == state.v.tobytes() == half.tobytes()
+
+    react = lvfte_pde._make_reaction(rec)
+    want_react = _reference_reaction(params)
+    rng = np.random.default_rng(5)
+    for dead in ((), (0,), (1,), (0, 1)):
+        for scale in (1e-12, 0.3, 2.5):
+            w = rng.uniform(0.0, scale, (2, n))
+            w[:, :3] = 0.0  # points already clamped to zero
+            for k in dead:
+                w[k] = 0.0
+            want = np.stack(want_react(w[0].copy(), w[1].copy()))
+            assert react(w.copy(), dead).tobytes() == want.tobytes()
+
+
+def test_default_dt_has_one_floor_for_both_flavours():
+    # every rate coefficient below 1e-6: the 1e-6 floor of the resource
+    # flavour now bounds constant kinetics too (dt 5e4, not 0.05 / 5e-7)
+    tiny = KineticParams(a1=1e-7, a2=5e-7, b1=1, b2=1, c1=2e-7, c2=3e-7)
+    rec = lvfte_pde._resolve(PdeParams(0.1, 0.2, kinetics=tiny), 16)
+    assert lvfte_pde._default_dt(rec) == 0.05 / 1e-6
 
 
 def test_dead_row_skips_the_cross_terms(monkeypatch):
