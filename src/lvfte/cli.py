@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .config import (
+    SCHEMA,
     ExperimentConfig,
     apply_overrides,
     config_digest,
@@ -64,17 +65,27 @@ def _integrate_options(cfg: ExperimentConfig) -> IntegrateOptions:
     return opts
 
 
-def _reject_solver_keys(cfg: ExperimentConfig, command: str, keys: Sequence[str]) -> None:
+# The ``solver`` keys each command reads; main rejects any other.  Every
+# command accepts solver.t_end, which a shared config may carry.
+_SOLVER_KEYS = {
+    "equilibria": ("t_end",),
+    "simulate": ("t_end", "rtol", "atol", "max_steps"),
+    "separatrix": ("t_end", "rtol", "atol"),
+    "pde": ("t_end", "dt", "snapshots", "check_interval", "max_steps"),
+    "scan": ("t_end",),
+}
+
+
+def _check_solver_keys(cfg: ExperimentConfig, command: str) -> None:
     """Raise ConfigError for a ``solver`` key that ``command`` never reads."""
-    for key in keys:
-        if cfg.get("solver", key) is not None:
+    for key in SCHEMA["solver"]:
+        if key not in _SOLVER_KEYS[command] and cfg.get("solver", key) is not None:
             raise ConfigError(f"solver.{key} does not apply to {command}, which never reads it")
 
 
 def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("equilibria requires model kind 'ode'")
-    _reject_solver_keys(cfg, "equilibria", ("rtol", "atol", "max_steps"))
     params = cfg.build_kinetics()
     eqs = all_equilibria(params)
     rows = []
@@ -161,7 +172,6 @@ def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object
 def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("separatrix requires model kind 'ode'")
-    _reject_solver_keys(cfg, "separatrix", ("max_steps",))
     params = cfg.build_kinetics()
     saddles = [
         eq for eq in interior_equilibria(params) if eq.stability is Stability.SADDLE
@@ -207,7 +217,6 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
 
 
 def _pde_options(cfg: ExperimentConfig) -> PdeOptions:
-    _reject_solver_keys(cfg, "pde", ("rtol", "atol"))
     opts = PdeOptions()
     dt = cfg.get("solver", "dt")
     if dt is not None:
@@ -299,11 +308,12 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
     kind = cfg.kind
     if kind not in ("pde-const", "pde-inhomogeneous"):
         raise ConfigError("diffusion scan requires a PDE model kind")
-    _reject_solver_keys(cfg, "a diffusion scan", ("rtol", "atol"))
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)
-    resolution = args.resolution or int(cfg.get("scan", "resolution", 16))
+    resolution = args.resolution
+    if resolution is None:
+        resolution = int(cfg.get("scan", "resolution", 16))
     d1_values = log_axis(
         float(cfg.require("scan", "d1_min")),
         float(cfg.require("scan", "d1_max")),
@@ -367,13 +377,12 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
 def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("c1-window scan requires model kind 'ode'")
-    _reject_solver_keys(cfg, "a c1-window scan", ("rtol", "atol", "max_steps"))
     template = cfg.build_kinetics()
     ws = scan_c1_window(
         template,
         float(cfg.require("scan", "c1_min")),
         float(cfg.require("scan", "c1_max")),
-        args.resolution or int(cfg.get("scan", "samples", 64)),
+        int(cfg.get("scan", "samples", 64)) if args.resolution is None else args.resolution,
         float(cfg.require("scan", "p_exponent")),
         float(cfg.require("scan", "q_exponent")),
     )
@@ -447,6 +456,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.set:
             cfg = apply_overrides(cfg, args.set)
+        _check_solver_keys(cfg, args.command)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         results = _COMMANDS[args.command](cfg, args, out_dir)

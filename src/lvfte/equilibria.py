@@ -245,17 +245,15 @@ def _refine_tangency(fn: Callable[[float], float], lo: float, hi: float) -> floa
     return 0.5 * (a + b)
 
 
-def scalar_roots(
-    fn: Callable[[float], float], lo: float, hi: float, points: int = SCAN_POINTS
-) -> List[float]:
+def scalar_roots(fn: Callable[[float], float], lo: float, hi: float) -> List[float]:
     """All roots of a smooth scalar function on the open interval (lo, hi).
 
     fn takes a float or, elementwise, a numpy array.  Dense sign scan of
-    fn over one array of points, then bisection + Newton polish on floats;
-    grazing double roots (no sign change, |fn| dipping to ~0) are detected
-    at local minima of |fn| and reported once.
+    fn over one array of SCAN_POINTS points, then bisection + Newton
+    polish on floats; grazing double roots (no sign change, |fn| dipping
+    to ~0) are detected at local minima of |fn| and reported once.
     """
-    xs = np.linspace(lo, hi, points + 2)[1:-1]
+    xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
     fs = np.asarray(fn(xs), dtype=float)
     scale = float(np.max(np.abs(fs))) or 1.0
     roots: List[float] = [float(x) for x in xs[fs == 0.0]]
@@ -310,9 +308,7 @@ def _crossing(params: KineticParams) -> Tuple[Callable, float, Callable[[float],
     return fn, params.a1 / params.b1, lambda u: State2(u, nullcline_value(params, f_u, u))
 
 
-def interior_equilibria(
-    params: KineticParams, scan_points: int = SCAN_POINTS
-) -> List[Equilibrium]:
+def interior_equilibria(params: KineticParams) -> List[Equilibrium]:
     """All strictly positive fixed points, sorted by u-coordinate.
 
     With q = 1 the v-nullcline is the line v = g(u) and roots of
@@ -325,7 +321,7 @@ def interior_equilibria(
     fn, hi, crossing = _crossing(params)
     out = [
         _classified(params, point, EquilibriumKind.INTERIOR)
-        for point in map(crossing, scalar_roots(fn, 0.0, hi, scan_points))
+        for point in map(crossing, scalar_roots(fn, 0.0, hi))
         if point.u > 0.0 and point.v > 0.0
     ]
     out.sort(key=lambda e: e.point.u)

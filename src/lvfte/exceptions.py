@@ -58,7 +58,7 @@ class SingularLinearization(NumericalError):
 
 
 class CflViolation(NumericalError):
-    """PDE time step could not be reduced below dt_min while staying stable."""
+    """PDE time step could not be reduced below pde.DT_MIN while staying stable."""
 
 
 class NonFiniteField(NumericalError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -195,7 +195,6 @@ class Trajectory:
 class IntegrateOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
-    t_eval: Optional[Sequence[float]] = None  # record only at these times
     max_steps: int = 10_000_000
 
 
@@ -251,6 +250,8 @@ def integrate(
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise InvalidParameter(f"t_end must be positive and finite, got {t_end}")
     _check_tolerances(opts.rtol, opts.atol)
+    if opts.max_steps < 1:
+        raise InvalidParameter(f"max_steps must be at least 1, got {opts.max_steps!r}")
 
     harvest = isinstance(params, HarvestParams)
     kinetics = harvest_rhs if harvest else rhs
@@ -268,9 +269,6 @@ def integrate(
     known = [] if harvest else all_equilibria(params)
     traj = Trajectory()
     samples = traj.samples
-    eval_times: Optional[List[float]] = None
-    if opts.t_eval is not None:
-        eval_times = sorted(t for t in opts.t_eval if 0.0 <= t <= t_end)
 
     def terminal_at(u: float, v: float, du: float, dv: float) -> Optional[Attractor]:
         speed = math.hypot(du, dv)
@@ -297,17 +295,11 @@ def integrate(
         if clampable and val < EPS_EXT and f(u, v)[idx] <= 0.0:
             u, v = lock(idx, 0.0, u, v)
 
-    if eval_times is None or (eval_times and eval_times[0] == 0.0):
-        samples.append((0.0, State2(u, v)))
-        if eval_times:
-            eval_times.pop(0)
-
+    samples.append((0.0, State2(u, v)))
     k1u, k1v = f(u, v)
     term = terminal_at(u, v, k1u, k1v)
     if term is not None:
         traj.terminal = term
-        if not samples:
-            samples.append((0.0, State2(u, v)))
         return traj
 
     def accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor):
@@ -338,8 +330,6 @@ def integrate(
                     lo = mid
             t += hi
             u, v = lock(event_species, t, *at_hi)
-            if eval_times is None:
-                samples.append((t, State2(u, v)))
             k1u, k1v = f(u, v)  # a species is now locked
             h_next = max(h, 1e-8)
         else:
@@ -347,23 +337,15 @@ def integrate(
             # stage is the next first stage unless the floor moved the state.
             u, v, t = max(u5, 0.0), max(v5, 0.0), t + h
             k1u, k1v = f(u, v) if u5 < 0.0 or v5 < 0.0 else (k7u, k7v)
-            if eval_times is None:
-                samples.append((t, State2(u, v)))
-            elif eval_times and abs(t - eval_times[0]) <= 1e-12 * max(1.0, t):
-                samples.append((t, State2(u, v)))
-                eval_times.pop(0)
             h_next = h * factor
+        samples.append((t, State2(u, v)))
         term = terminal_at(u, v, k1u, k1v)
         if term is not None:
             traj.terminal = term
             return None
-        if eval_times:
-            h_next = min(h_next, max(eval_times[0] - t, 1e-14))
         return t, u, v, k1u, k1v, h_next
 
     h = min(1e-3, t_end / 100.0)
-    if eval_times:
-        h = min(h, max(eval_times[0], 1e-14))
     _adaptive_dp45(
         f, 0.0, u, v, k1u, k1v, h, t_end, opts.rtol, opts.atol, opts.max_steps, accept, traj
     )
@@ -467,7 +449,6 @@ def trace_separatrix(
     params: KineticParams,
     saddle: Equilibrium,
     delta: float = 1e-6,
-    box=None,
     max_backward_time: float = 200.0,
     rtol: float = 1e-9,
     atol: float = 1e-12,
@@ -499,11 +480,7 @@ def trace_separatrix(
     if vs[0] < 0.0 or (vs[0] == 0.0 and vs[1] < 0.0):
         vs = -vs
 
-    if box is None:
-        box = (
-            (0.0, 2.0 * params.a1 / params.b1),
-            (0.0, 2.0 * params.a2 / params.b2),
-        )
+    box = ((0.0, 2.0 * params.a1 / params.b1), (0.0, 2.0 * params.a2 / params.b2))
 
     def backward(u: float, v: float) -> Tuple[float, float]:
         du, dv = rhs(params, State2(u, v))

@@ -21,7 +21,7 @@ block-diagonal system for u and v together.
 
 Sub-threshold clamping mirrors the ODE layer: a species whose kinetics lose
 Lipschitz continuity at zero (exponent < 1) is set to exactly zero at grid
-points that fall below ``eps_ext`` while its local reaction is non-positive.
+points that fall below ``ode.EPS_EXT`` while its local reaction is non-positive.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .exceptions import (
     NonFiniteField,
 )
 from .kinetics import KineticParams, Regime, classify_regime, safe_pow_arr
-from .ode import fte_coefficient
+from .ode import EPS_EXT, fte_coefficient
 
 __all__ = [
     "Grid1D",
@@ -213,52 +213,43 @@ class PdeOutcome:
     note: str = ""
 
 
+# Verdict tolerances and step rules of simulate_pde (see its docstring).
+TOL_OUT = 1e-4  # sup-norm tolerance of an exclusion verdict
+TOL_POS = 1e-4  # Coexist needs both fields above this everywhere
+TOL_STEADY = 1e-7  # Coexist needs the discrete time derivative below this
+DT_MIN = 1e-12  # halving dt below this raises CflViolation
+TAIL_THRESHOLD = 1e-6  # a sup norm below this switches to the IMEX tail
+
+
 @dataclass
 class PdeOptions:
-    """Tuning knobs for simulate_pde.
+    """Step, snapshots, check spacing and step budget of simulate_pde.
 
     dt=None picks a conservative reaction-limited step.  Classification is
-    attempted every ``check_interval`` time units; with ``early_stop`` the
-    run returns as soon as a verdict is reached.  ``u_reference`` /
-    ``v_reference`` override the single-survivor profiles used by the
-    exclusion tests (defaults: constant carrying capacity for constant
-    kinetics, the single-species steady state for resource kinetics).
+    attempted every ``check_interval`` time units, and the run returns at
+    its first verdict.  The verdict tolerances, the clamp level and the dt
+    floor are the module constants TOL_OUT, TOL_POS, TOL_STEADY,
+    ``ode.EPS_EXT`` and DT_MIN.
     """
 
     dt: Optional[float] = None
     snapshot_times: Sequence[float] = ()
     check_interval: float = 5.0
-    tol_out: float = 1e-4
-    tol_pos: float = 1e-4
-    tol_steady: float = 1e-7
-    eps_ext: float = 1e-10
-    dt_min: float = 1e-12
-    tail_threshold: float = 1e-6
     max_steps: int = 20_000_000
-    early_stop: bool = True
-    u_reference: Optional[np.ndarray] = None
-    v_reference: Optional[np.ndarray] = None
 
     def validate(self) -> None:
         """Raise InvalidParameter for values that would end a run silently.
 
-        A given ``dt`` and ``dt_min`` must be finite and positive: at
-        ``dt_min`` = 0 the dt-halving rule never raises and burns the step
-        budget on zero-length steps.  ``max_steps`` must be at least 1 and
-        no other float field may be NaN.  A ``tail_threshold`` of 0 (never
-        switch to the IMEX tail) and a ``check_interval`` <= 0 (no periodic
-        checks) stay legal.
+        A given ``dt`` must be finite and positive, ``max_steps`` at least 1
+        and ``check_interval`` not NaN.  A ``check_interval`` <= 0 (no
+        periodic checks) stays legal.
         """
-        for name in ("dt", "dt_min"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidParameter(f"dt must be positive and finite, got {self.dt!r}")
         if self.max_steps < 1:
             raise InvalidParameter(f"max_steps must be at least 1, got {self.max_steps!r}")
-        for name in ("check_interval", "tol_out", "tol_pos", "tol_steady",
-                     "eps_ext", "tail_threshold"):
-            if math.isnan(getattr(self, name)):
-                raise InvalidParameter(f"{name} must not be NaN")
+        if math.isnan(self.check_interval):
+            raise InvalidParameter("check_interval must not be NaN")
 
 
 def laplacian_neumann(f: np.ndarray, dx: float) -> np.ndarray:
@@ -482,16 +473,15 @@ def _steady_state(
 class _ReferenceCache:
     """Lazy single-survivor reference profiles for exclusion verdicts.
 
-    ``ref(k)`` is row k's profile: the override in the options, else the
-    record's closed form, else the single-species steady state of the
-    record's resource at diffusivity ``ds[k]``.  A march that fails sets
-    ``note`` and is not retried.
+    ``ref(k)`` is row k's profile: the record's closed form, else the
+    single-species steady state of the record's resource at diffusivity
+    ``ds[k]``.  A march that fails sets ``note`` and is not retried.
     """
 
-    def __init__(self, rec: _Kinetics, ds: Tuple[float, float], opts: PdeOptions) -> None:
+    def __init__(self, rec: _Kinetics, ds: Tuple[float, float]) -> None:
         self._rec = rec
         self._ds = ds
-        self._refs: List[Optional[np.ndarray]] = [opts.u_reference, opts.v_reference]
+        self._refs: List[Optional[np.ndarray]] = [None, None]
         self._failed = [False, False]
         self.note = ""
 
@@ -520,24 +510,25 @@ def simulate_pde(
     t_end: float,
     opts: Optional[PdeOptions] = None,
 ) -> Tuple[List[Tuple[float, PdeState]], PdeOutcome]:
-    """Integrate the two-species system to t_end or an early verdict.
+    """Integrate the two-species system to t_end or its first verdict.
 
     Returns (snapshots, outcome).  Snapshots always include the initial and
     final states plus any requested interior times.  The verdict logic runs
-    every ``check_interval``:
+    every ``check_interval``, at each snapshot and at t_end:
 
-    * UWins  -- sup v < tol_out and sup|u - u_ref| < tol_out,
+    * UWins  -- sup v < TOL_OUT and sup|u - u_ref| < TOL_OUT, where u_ref
+      is u's single-survivor profile,
     * VWins  -- mirror image,
-    * Coexist -- both fields exceed tol_pos everywhere and the discrete
+    * Coexist -- both fields exceed TOL_POS everywhere and the discrete
       time derivative of the computed solution, sup|w(t+dt) - w(t)| / dt
       over both fields on the last step before the check, is below
-      tol_steady (the computed solution has stopped changing),
+      TOL_STEADY (the computed solution has stopped changing),
     * Undecided -- none of the above by t_end (or when the step budget is
       exhausted), with a note.
 
     Stepping is symmetric splitting (implicit diffusion half steps around
     an RK4 reaction step) while both species are active.  Once either
-    field's sup norm falls below ``tail_threshold`` the stepper switches to
+    field's sup norm falls below TAIL_THRESHOLD the stepper switches to
     an implicit-diffusion / explicit-reaction step whose fixed points solve
     the discrete steady equations exactly, so a lone survivor relaxes onto
     the same profile the steady reference uses, free of splitting bias.
@@ -549,7 +540,7 @@ def simulate_pde(
     (both are exactly zero there), and the tail test takes 0 as its sup
     norm, so the run stays in the tail.  This changes no computed value.
 
-    A non-finite step is retried with half the time step; below ``dt_min``
+    A non-finite step is retried with half the time step; below DT_MIN
     this raises CflViolation.  Non-finite initial data raises
     NonFiniteField, and options that fail ``PdeOptions.validate`` raise
     InvalidParameter.
@@ -573,7 +564,7 @@ def simulate_pde(
     react = _make_reaction(rec)
     clampable = (rec.p < 1.0, rec.q < 1.0)
     diffusivities = (params.d1, params.d2)
-    refs = _ReferenceCache(rec, diffusivities, opts)
+    refs = _ReferenceCache(rec, diffusivities)
 
     dt = opts.dt if opts.dt is not None else _default_dt(rec)
 
@@ -621,7 +612,7 @@ def simulate_pde(
             w[k] = 0.0
         if not live:
             return
-        low = w < opts.eps_ext
+        low = w < EPS_EXT
         low &= live_mask
         if low.any():
             low &= react(w, dead) <= 0.0
@@ -635,12 +626,12 @@ def simulate_pde(
 
     def classify_now(rate: float) -> Optional[str]:
         for k, wins in ((0, U_WINS), (1, V_WINS)):
-            if float(w[1 - k].max()) < opts.tol_out:
+            if float(w[1 - k].max()) < TOL_OUT:
                 ref = refs.ref(k)
-                if ref is not None and float(np.max(np.abs(w[k] - ref))) < opts.tol_out:
+                if ref is not None and float(np.max(np.abs(w[k] - ref))) < TOL_OUT:
                     return wins
-        # both fields above tol_pos everywhere
-        if float(w.min()) > opts.tol_pos and rate < opts.tol_steady:
+        # both fields above TOL_POS everywhere
+        if float(w.min()) > TOL_POS and rate < TOL_STEADY:
             return COEXIST
         return None
 
@@ -658,9 +649,9 @@ def simulate_pde(
             w_prev = w
             # A dead row's sup norm is 0, which is the minimum.
             low = 0.0 if dead else float(w.max(axis=1).min())
-            if not imex_tail and low < opts.tail_threshold:
+            if not imex_tail and low < TAIL_THRESHOLD:
                 imex_tail = True
-            elif imex_tail and low > 10.0 * opts.tail_threshold:
+            elif imex_tail and low > 10.0 * TAIL_THRESHOLD:
                 imex_tail = False
             if imex_tail:
                 w = get_solver(h).apply(w + h * react(w, dead))
@@ -671,7 +662,7 @@ def simulate_pde(
             if not math.isfinite(float(w.sum())):
                 w = w_prev
                 dt *= 0.5
-                if dt < opts.dt_min:
+                if dt < DT_MIN:
                     raise CflViolation(
                         f"time step underflow at t={t:g} (dt={dt:.3e})"
                     )
@@ -688,8 +679,7 @@ def simulate_pde(
         verdict = classify_now(last_rate)
         if verdict is not None:
             label = verdict
-            if opts.early_stop:
-                break
+            break
 
     if label is None:
         label = UNDECIDED

@@ -62,7 +62,8 @@ class OutcomeGrid:
 
     ``labels[i][j]`` is the outcome at (d1_values[i], d2_values[j]); the
     fte and note grids are aligned the same way.  ``ic_policy`` records how
-    the shared initial data was built.
+    the shared initial data was built: "half-resource", the one policy of
+    initial_state_for_policy.
     """
 
     d1_values: Tuple[float, ...]
@@ -86,18 +87,14 @@ class OutcomeGrid:
         return out
 
 
-def initial_state_for_policy(
-    template: PdeParams, grid: Grid1D, policy: str, offset: float
-) -> PdeState:
-    """Build the shared initial fields for a sweep.
+def initial_state_for_policy(template: PdeParams, grid: Grid1D, offset: float) -> PdeState:
+    """Build the shared initial fields for a sweep ("half-resource").
 
-    The single supported policy, "half-resource", starts both species at
-    half of u's local carrying capacity plus a uniform offset (m/2 + offset
-    for a resource template, a1/(2*b1) + offset for constant kinetics), so
-    neither species is favoured and both start strictly positive.
+    Both species start at half of u's local carrying capacity plus a
+    uniform offset (m/2 + offset for a resource template, a1/(2*b1) +
+    offset for constant kinetics), so neither species is favoured and both
+    start strictly positive.
     """
-    if policy != "half-resource":
-        raise InvalidParameter(f"unknown initial-data policy {policy!r}")
     if not (math.isfinite(offset) and offset > 0.0):
         raise InvalidParameter("policy offset must be positive and finite")
     rec = _resolve(template, grid.n_x)
@@ -132,7 +129,6 @@ def scan_diffusion(
     *,
     grid: Optional[Grid1D] = None,
     options: Optional[PdeOptions] = None,
-    ic_policy: str = "half-resource",
     ic_offset: float = 0.01,
     workers: Optional[int] = None,
 ) -> OutcomeGrid:
@@ -161,7 +157,7 @@ def scan_diffusion(
         options = PdeOptions(check_interval=max(1.0, t_end / 4096.0))
     options.validate()  # once for the sweep, not as an Undecided note per cell
 
-    init = initial_state_for_policy(template, grid, ic_policy, ic_offset)
+    init = initial_state_for_policy(template, grid, ic_offset)
     tasks = []
     for i, d1 in enumerate(d1_tuple):
         for j, d2 in enumerate(d2_tuple):
@@ -203,7 +199,7 @@ def scan_diffusion(
         fte_u=tuple(tuple(bool(x) for x in row) for row in fte_u),
         fte_v=tuple(tuple(bool(x) for x in row) for row in fte_v),
         notes=tuple(tuple(row) for row in notes),
-        ic_policy=ic_policy,
+        ic_policy="half-resource",
     )
 
 

@@ -20,7 +20,6 @@ from lvfte import (
     V_WINS,
     ComparisonOde,
     Grid1D,
-    IntegrateOptions,
     KineticParams,
     PdeOptions,
     PdeParams,
@@ -212,9 +211,7 @@ def test_criterion_7_property_suites():
         PdeOptions(dt=0.002, snapshot_times=(t_check,), check_interval=50.0),
     )
     snap = dict((round(t, 9), s) for t, s in snaps)[t_check]
-    ode_ref = integrate(
-        weak, State2(0.5, 0.5), t_check, IntegrateOptions(t_eval=[t_check])
-    ).samples[-1][1]
+    ode_ref = integrate(weak, State2(0.5, 0.5), t_check).final_state
     assert np.max(np.abs(snap.u - ode_ref.u)) < 1e-6
     assert np.max(np.abs(snap.v - ode_ref.v)) < 1e-6
 

@@ -501,16 +501,38 @@ class TestErrorPaths:
             ("separatrix", "separatrix_threshold", ["solver.max_steps=1"]),
             ("equilibria", "equilibria_mixed_exponents", ["solver.rtol=0"]),
             ("scan", "scan_exponent_window", ["solver.rtol=0", "solver.max_steps=1"]),
+            # a diffusion scan reads its step from [scan], and simulate has no fixed step
+            ("scan", "scan_outcome_map", ["solver.dt=1e-9", "solver.max_steps=1"]),
+            ("simulate", "ode_extinction_event", ["solver.dt=-5", "solver.check_interval=0"]),
         ],
     )
     def test_solver_keys_a_command_never_reads_are_rejected(
         self, tmp_path, capsys, command, recipe, sets
     ):
         args = [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out")]
+        if command == "scan":  # small and serial, should the key get through
+            args += ["--resolution", "2", "--workers", "1"]
         for item in sets:
             args += ["--set", item]
         assert main(args) == 2
         assert f"{sets[0].split('=')[0]} does not apply" in capsys.readouterr().err
+
+    def test_zero_max_steps_is_a_parameter_error(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--config", str(CONFIGS / "ode_extinction_event.ini"),
+             "--out", str(tmp_path / "out"), "--set", "solver.max_steps=0"]
+        )
+        assert code == 2
+        assert "max_steps must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("recipe", ["scan_outcome_map", "scan_exponent_window"])
+    def test_zero_resolution_is_not_ignored(self, tmp_path, capsys, recipe):
+        code = main(
+            ["scan", "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out"),
+             "--workers", "1", "--resolution", "0"]
+        )
+        assert code == 2
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_wrong_model_kind_for_command(self, tmp_path):
         code = main(

@@ -71,12 +71,6 @@ class TestIntegrate:
         assert traj.terminal.name == "v-axis"
         assert traj.terminal.point == pytest.approx((0.0, 3.0), abs=1e-6)
 
-    def test_t_eval_controls_sample_times(self):
-        wanted = [0.0, 0.5, 1.25, 3.0]
-        opts = IntegrateOptions(t_eval=wanted)
-        traj = integrate(WEAK, State2(0.5, 0.5), 3.0, opts)
-        assert traj.times == pytest.approx(wanted, abs=1e-9)
-
     def test_start_near_sink_locks_immediately(self):
         den = 1 - 0.3 * 1.8
         sink = State2((1 - 0.6) / den, (2 - 1.8) / den)
@@ -247,6 +241,12 @@ class TestStepAccounting:
         partial = info.value.trajectory
         assert partial.terminal is None
         assert 0.0 < partial.samples[-1][0] < 200.0
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_nonpositive_max_steps_is_an_invalid_parameter(self, max_steps):
+        # a budget below one step is bad input, not a numerical failure
+        with pytest.raises(InvalidParameter, match="max_steps must be at least 1"):
+            integrate(FTE_CERTIFIED, State2(0.5, 0.5), 200.0, IntegrateOptions(max_steps=max_steps))
 
     def test_rhs_calls_per_accepted_step(self, monkeypatch):
         # Dormand-Prince is first-same-as-last: an attempt costs six new stages

@@ -15,7 +15,6 @@ from lvfte import (
     V_WINS,
     CflViolation,
     Grid1D,
-    IntegrateOptions,
     InvalidParameter,
     KineticParams,
     NonConvergence,
@@ -174,8 +173,7 @@ class TestSimulatePde:
         snapshots, _ = simulate_pde(params, init, 20.0, opts)
         snap = dict((round(t, 9), s) for t, s in snapshots)[t_check]
         assert np.ptp(snap.u) < 1e-12 and np.ptp(snap.v) < 1e-12
-        ode = integrate(WEAK, State2(0.5, 0.5), t_check, IntegrateOptions(t_eval=[t_check]))
-        ref = ode.samples[-1][1]
+        ref = integrate(WEAK, State2(0.5, 0.5), t_check).final_state
         assert snap.u[0] == pytest.approx(ref.u, abs=1e-6)
         assert snap.v[0] == pytest.approx(ref.v, abs=1e-6)
 
@@ -217,7 +215,7 @@ class TestSimulatePde:
         g = Grid1D(0.0, 1.0, 32)
         params = PdeParams(d1=0.01, d2=0.02, kinetics=WEAK)
         init = PdeState(g, np.full(32, 0.5), np.full(32, 0.5))
-        opts = PdeOptions(dt=0.01, snapshot_times=(0.5, 1.5), early_stop=False)
+        opts = PdeOptions(dt=0.01, snapshot_times=(0.5, 1.5))
         snapshots, outcome = simulate_pde(params, init, 3.0, opts)
         times = [t for t, _ in snapshots]
         assert times[0] == 0.0
@@ -321,8 +319,10 @@ def two_field_reference(params, init, t_end, opts):
     ``check_finite=False`` on the solves, so that a non-finite step reaches
     the dt-halving rule instead of raising ValueError inside scipy.
     Its clamp flags, default ``dt`` and survivor profiles are the
-    per-flavour formulas written out here, so it shares none of that set-up
-    with simulate_pde.
+    per-flavour formulas written out here, and its verdict tolerances
+    (1e-4, 1e-4, 1e-7), clamp level (1e-10), dt floor (1e-12) and tail
+    threshold (1e-6) are literals, so it shares none of that set-up with
+    simulate_pde and a changed module constant fails the cases below.
     Returns (snapshots, outcome, entered_imex_tail, dt_halvings, deaths),
     where ``deaths`` maps "u" / "v" to the step that first left the field
     zero everywhere: "start" (the clamp at t = 0), "rk4" or "tail".
@@ -339,7 +339,7 @@ def two_field_reference(params, init, t_end, opts):
         clamp_u, clamp_v = params.p < 1.0, False
         rate_max = max(float(params.m.values.max()), params.b, params.c, 1e-6)
     dt = opts.dt if opts.dt is not None else 0.05 / rate_max
-    refs = {"u": opts.u_reference, "v": opts.v_reference}
+    refs = {"u": None, "v": None}
     ref_failed, ref_note = set(), []
 
     def survivor(name):
@@ -386,7 +386,7 @@ def two_field_reference(params, init, t_end, opts):
     def clamp(t_now, mode):
         np.maximum(u, 0.0, out=u)
         np.maximum(v, 0.0, out=v)
-        low_u, low_v = u < opts.eps_ext, v < opts.eps_ext
+        low_u, low_v = u < 1e-10, v < 1e-10
         if (clamp_u and low_u.any()) or (clamp_v and low_v.any()):
             du, dv = react(u, v)
             if clamp_u:
@@ -399,15 +399,15 @@ def two_field_reference(params, init, t_end, opts):
             fte["v"], deaths["v"] = t_now, mode
 
     def classify(rate):
-        if float(v.max()) < opts.tol_out:
+        if float(v.max()) < 1e-4:
             ref = survivor("u")
-            if ref is not None and float(np.max(np.abs(u - ref))) < opts.tol_out:
+            if ref is not None and float(np.max(np.abs(u - ref))) < 1e-4:
                 return U_WINS
-        if float(u.max()) < opts.tol_out:
+        if float(u.max()) < 1e-4:
             ref = survivor("v")
-            if ref is not None and float(np.max(np.abs(v - ref))) < opts.tol_out:
+            if ref is not None and float(np.max(np.abs(v - ref))) < 1e-4:
                 return V_WINS
-        if min(float(u.min()), float(v.min())) > opts.tol_pos and rate < opts.tol_steady:
+        if min(float(u.min()), float(v.min())) > 1e-4 and rate < 1e-7:
             return COEXIST
         return None
 
@@ -421,9 +421,9 @@ def two_field_reference(params, init, t_end, opts):
             h = min(dt, target - t)
             u_prev, v_prev = u, v
             low = min(float(u.max()), float(v.max()))
-            if not tail and low < opts.tail_threshold:
+            if not tail and low < 1e-6:
                 tail = entered_tail = True
-            elif tail and low > 10.0 * opts.tail_threshold:
+            elif tail and low > 10.0 * 1e-6:
                 tail = False
             if tail:
                 fu, fv = react(u, v)
@@ -446,7 +446,7 @@ def two_field_reference(params, init, t_end, opts):
                 u, v = u_prev, v_prev
                 dt *= 0.5
                 halvings += 1
-                if dt < opts.dt_min:
+                if dt < 1e-12:
                     raise CflViolation("time step underflow")
                 continue
             t += h
@@ -460,8 +460,7 @@ def two_field_reference(params, init, t_end, opts):
         verdict = classify(rate)
         if verdict is not None:
             label = verdict
-            if opts.early_stop:
-                break
+            break
     if label is None:
         label = UNDECIDED
         if not note:
@@ -500,10 +499,11 @@ def _stacked_cases():
     recovery_pq = KineticParams(a1=1.1, b1=1, c1=1.2, a2=1, b2=1, c2=2, p=0.1, q=0.5)
     map_opts = PdeOptions(dt=0.5, check_interval=100.0, max_steps=200_000)
     cases = [
-        # smooth exclusion; v decays into the IMEX tail before the verdict
+        # smooth exclusion; the one check is at t_end, so v decays into the
+        # IMEX tail before the verdict (a check every 20 would end at t = 60)
         ("const-exclusion-tail", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
          PdeState(g32, 0.5 + 0.1 * np.cos(np.pi * x32), np.full(32, 0.5)), 400.0,
-         PdeOptions(dt=0.05, check_interval=20.0, early_stop=False), True, False, {}),
+         PdeOptions(dt=0.05, check_interval=0.0), True, False, {}),
         ("const-coexist-snapshots", PdeParams(0.05, 0.01, kinetics=WEAK),
          PdeState(g32, 0.4 + 0.2 * np.cos(np.pi * x32), np.full(32, 0.3)), 300.0,
          PdeOptions(dt=0.02, snapshot_times=(0.7, 3.1, 42.0), check_interval=10.0), False, False,
@@ -511,11 +511,6 @@ def _stacked_cases():
         # p < 1: u is clamped to zero in finite time, on an RK4 step
         ("const-p-clamp", PdeParams(1.0, 0.001, kinetics=RECOVERY),
          PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
-        # the same with the IMEX tail off: RK4 keeps stepping the dead row
-        ("const-p-clamp-no-tail", PdeParams(1.0, 0.001, kinetics=RECOVERY),
-         PdeState(g48, band, 6.0 * band), 400.0,
-         PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0), tail_threshold=0.0), False, False,
-         {"u": "rk4"}),
         # p < 1 and q < 1: u dies while v is still a live clampable row
         ("const-pq-u-dies-v-live", PdeParams(1.0, 0.001, kinetics=recovery_pq),
          PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
@@ -548,7 +543,7 @@ def _stacked_cases():
         # sends the run into the IMEX tail
         ("dt-halving", PdeParams(0.01, 0.02, kinetics=EXCLUSION),
          PdeState(g32, np.where(x32 < 0.1, 1e20, 0.5), np.full(32, 0.5)), 20.0,
-         PdeOptions(dt=1.0, check_interval=5.0, snapshot_times=(0.3,), early_stop=False),
+         PdeOptions(dt=1.0, check_interval=5.0, snapshot_times=(0.3,)),
          True, True, {}),
     ]
     rng = np.random.default_rng(11)
@@ -642,10 +637,10 @@ def test_resolved_record_matches_the_per_flavour_formulas(name, params):
         survivors = tuple(single_species_steady_state(d, params.m) for d in (params.d1, params.d2))
     assert (rec.p < 1.0, rec.q < 1.0) == clampable
     assert repr(lvfte_pde._default_dt(rec)) == repr(dt)
-    refs = lvfte_pde._ReferenceCache(rec, (params.d1, params.d2), PdeOptions())
+    refs = lvfte_pde._ReferenceCache(rec, (params.d1, params.d2))
     for k in (0, 1):
         assert refs.ref(k).tobytes() == survivors[k].tobytes()
-    state = initial_state_for_policy(params, g, "half-resource", offset)
+    state = initial_state_for_policy(params, g, offset)
     assert state.u.tobytes() == state.v.tobytes() == half.tobytes()
 
     react = lvfte_pde._make_reaction(rec)
@@ -724,13 +719,6 @@ class TestNonFiniteStep:
         assert grid.labels == ((UNDECIDED, UNDECIDED),)
         assert all(note.startswith("CflViolation: ") for note in grid.notes[0])
 
-    def test_zero_dt_min_is_rejected_not_a_burnt_step_budget(self):
-        g = Grid1D(0.0, 1.0, 16)
-        init = PdeState(g, np.full(16, 1e30), np.full(16, 1.0))
-        opts = PdeOptions(dt=50.0, dt_min=0.0, max_steps=3000)
-        with pytest.raises(InvalidParameter, match="dt_min"):
-            simulate_pde(self.PARAMS, init, 200.0, opts)
-
 
 class TestOptionValidation:
     GRID = Grid1D(0.0, 1.0, 16)
@@ -739,10 +727,7 @@ class TestOptionValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("dt", 0.0), ("dt", math.nan), ("dt_min", 0.0), ("dt_min", -1e-12),
-         ("dt_min", math.inf), ("dt_min", math.nan), ("max_steps", 0),
-         ("check_interval", math.nan), ("tol_out", math.nan), ("tol_pos", math.nan),
-         ("tol_steady", math.nan), ("eps_ext", math.nan), ("tail_threshold", math.nan)],
+        [("dt", 0.0), ("dt", math.nan), ("max_steps", 0), ("check_interval", math.nan)],
     )
     def test_bad_value_raises_for_a_run_and_a_sweep(self, field, value):
         opts = replace(PdeOptions(dt=0.01), **{field: value})
@@ -753,7 +738,7 @@ class TestOptionValidation:
                            options=opts, workers=1)
 
     @pytest.mark.parametrize(
-        "field, value", [("tail_threshold", 0.0), ("check_interval", 0.0), ("check_interval", -1.0)]
+        "field, value", [("check_interval", 0.0), ("check_interval", -1.0)]
     )
     def test_documented_edge_values_stay_legal(self, field, value):
         opts = replace(PdeOptions(dt=0.01), **{field: value})
@@ -778,7 +763,7 @@ def test_every_factorisation_and_solve_goes_through_the_module_names(monkeypatch
     g = Grid1D(0.0, 1.0, 16)
     init = PdeState(g, np.full(16, 0.5), np.full(16, 0.6))
     simulate_pde(PdeParams(0.01, 0.02, kinetics=WEAK), init, 10.0,
-                 PdeOptions(dt=0.5, early_stop=False))
+                 PdeOptions(dt=0.5))
     assert calls == {"factor": 1, "solve": 40}
 
     # the steady-state march: one factor per _ImplicitDiffusion, one solve per apply

@@ -62,7 +62,7 @@ class TestLogAxis:
 class TestInitialPolicy:
     def test_constant_kinetics_policy(self):
         g = Grid1D(0.0, 1.0, 16)
-        state = initial_state_for_policy(const_template(), g, "half-resource", 0.01)
+        state = initial_state_for_policy(const_template(), g, 0.01)
         assert state.u.tobytes() == np.full(16, 1.8 / (2.0 * 1.0) + 0.01).tobytes()
         assert state.v.tobytes() == state.u.tobytes()
 
@@ -71,16 +71,14 @@ class TestInitialPolicy:
         x = g.centers()
         m = ResourceField(g, x * (1 - x))
         template = PdeParams(d1=1.0, d2=1.0, b=0.999, c=0.999, p=1.0, m=m)
-        state = initial_state_for_policy(template, g, "half-resource", 0.01)
+        state = initial_state_for_policy(template, g, 0.01)
         assert state.u.tobytes() == (m.values / 2.0 + 0.01).tobytes()
         assert state.v.tobytes() == state.u.tobytes()
 
-    def test_unknown_policy_rejected(self):
+    def test_nonpositive_offset_rejected(self):
         g = Grid1D(0.0, 1.0, 16)
         with pytest.raises(InvalidParameter):
-            initial_state_for_policy(const_template(), g, "ones", 0.01)
-        with pytest.raises(InvalidParameter):
-            initial_state_for_policy(const_template(), g, "half-resource", 0.0)
+            initial_state_for_policy(const_template(), g, 0.0)
 
 
 class TestScanDiffusion:
