@@ -377,6 +377,8 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
 def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     if cfg.kind != "ode":
         raise ConfigError("c1-window scan requires model kind 'ode'")
+    if args.workers is not None:
+        raise ConfigError("--workers applies to a diffusion scan only")
     template = cfg.build_kinetics()
     ws = scan_c1_window(
         template,

@@ -1,24 +1,22 @@
-"""Tiny arithmetic grammar for profile definitions in config files.
+"""Tiny arithmetic language for profile definitions in config files.
 
 Supported: decimal literals, the variable ``x``, binary ``+ - * /``,
-right-associative ``^``, unary minus, parentheses, and the functions
-``sin``, ``cos``, ``exp``.  Parsing builds a closure tree; evaluation
-accepts a float or a numpy array and broadcasts constants to the input
-shape.
-
-Grammar (recursive descent):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
+right-associative ``^`` (binding tighter than unary minus: ``-x^2`` is
+``-(x^2)``), unary minus, parentheses, and the functions ``sin``, ``cos``,
+``exp``.  This is Python's expression grammar cut down to those forms:
+``ast.parse`` reads the text with ``^`` as ``**``, and a walk over a
+whitelist of node types builds one closure per node.  Nothing is compiled
+or run by Python.  Evaluation accepts a float or a numpy array and
+broadcasts constants to the input shape.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from typing import Callable, List, Tuple, Union
+import warnings
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,134 +25,14 @@ from .exceptions import ExpressionError
 __all__ = ["Expression", "parse_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_NAMES = ", ".join(sorted(_FUNCTIONS))
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: np.power}
+_ALPHABET = re.compile(r"[A-Za-z0-9 _.+\-*/^()]")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 
 _Node = Callable[[np.ndarray], Union[np.ndarray, float]]
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens: List[Tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped)
-            raise ExpressionError(
-                f"unexpected character {stripped[0]!r} at position {col} in {text!r}"
-            )
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> "ExpressionError":
-        kind, value, col = self.peek()
-        shown = value if kind != "end" else "end of input"
-        return ExpressionError(
-            f"{message}, got {shown!r} at position {col} in {self.text!r}"
-        )
-
-    def parse(self) -> _Node:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise self.fail("unexpected trailing input")
-        return node
-
-    def expr(self) -> _Node:
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            lhs = node
-            if op == "+":
-                node = lambda x, a=lhs, b=rhs: a(x) + b(x)
-            else:
-                node = lambda x, a=lhs, b=rhs: a(x) - b(x)
-        return node
-
-    def term(self) -> _Node:
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            rhs = self.factor()
-            lhs = node
-            if op == "*":
-                node = lambda x, a=lhs, b=rhs: a(x) * b(x)
-            else:
-                node = lambda x, a=lhs, b=rhs: a(x) / b(x)
-        return node
-
-    def factor(self) -> _Node:
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            inner = self.factor()
-            return lambda x, a=inner: -a(x)
-        return self.power()
-
-    def power(self) -> _Node:
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            exponent = self.factor()
-            return lambda x, a=base, b=exponent: np.power(a(x), b(x))
-        return base
-
-    def atom(self) -> _Node:
-        kind, value, _ = self.peek()
-        if kind == "num":
-            self.take()
-            val = float(value)
-            return lambda x, v=val: v
-        if kind == "name":
-            self.take()
-            if value == "x":
-                return lambda x: x
-            fn = _FUNCTIONS.get(value)
-            if fn is None:
-                raise ExpressionError(
-                    f"unknown name {value!r} in {self.text!r} "
-                    f"(allowed: x, {', '.join(sorted(_FUNCTIONS))})"
-                )
-            if self.peek()[:2] != ("op", "("):
-                raise self.fail(f"expected '(' after {value}")
-            self.take()
-            arg = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                raise self.fail("expected ')'")
-            self.take()
-            return lambda x, f=fn, a=arg: f(a(x))
-        if kind == "op" and value == "(":
-            self.take()
-            inner = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                raise self.fail("expected ')'")
-            self.take()
-            return inner
-        raise self.fail("expected a number, name or '('")
 
 
 class Expression:
@@ -190,9 +68,50 @@ class Expression:
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into a callable Expression.
 
-    Raises ExpressionError with position information on malformed input.
+    Raises ExpressionError naming the offending name or a position in ``text``.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
-    node = _Parser(text).parse()
-    return Expression(text.strip(), node)
+    src, pos = "", []  # pos[i] is the position in text of src[i]
+    for col, char in enumerate(text):
+        # The language allows any whitespace (INI continuation lines too) and
+        # any decimal digit; map them one for one to ASCII for Python's tokenizer.
+        c = " " if char.isspace() else str(int(char)) if char.isdecimal() else char
+        # Python reads characters the language lacks, and a typed '**' as power.
+        if not _ALPHABET.fullmatch(c) or c + src[-1:] == "**":
+            raise ExpressionError(f"unexpected character {char!r} at position {col} in {text!r}")
+        c = "**" if c == "^" else c
+        src += c
+        pos += [col] * len(c)
+    # Python rejects integer literals with leading zeros, such as '01'; blank
+    # the zeros, since the literal's value is read from its remaining digits.
+    src = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), src)
+    body = src.lstrip()  # Python's eval mode rejects an indented first line
+    pos = pos[len(src) - len(body) :] + [len(text)]
+
+    def build(node: ast.expr) -> _Node:
+        match node:
+            case ast.BinOp(lhs, op, rhs) if type(op) in _OPERATORS:
+                return lambda x, f=_OPERATORS[type(op)], a=build(lhs), b=build(rhs): f(a(x), b(x))
+            case ast.UnaryOp(ast.USub(), operand):
+                return lambda x, a=build(operand): -a(x)
+            case ast.Constant() if _NUMBER.fullmatch(lit := ast.get_source_segment(body, node)):
+                return lambda x, v=float(lit): v
+            case ast.Name("x"):
+                return lambda x: x
+            case ast.Call(ast.Name(name), [arg], []) if name in _FUNCTIONS:
+                return lambda x, f=_FUNCTIONS[name], a=build(arg): f(a(x))
+            case ast.Name(name) | ast.Call(ast.Name(name)) if name not in {"x", *_FUNCTIONS}:
+                raise ExpressionError(f"unknown name {name!r} in {text!r} (allowed: x, {_NAMES})")
+        raise ExpressionError(f"unsupported syntax at position {pos[node.col_offset]} in {text!r}")
+
+    try:
+        # Python only warns on some text the language rejects, such as '1if x
+        # else 2' ("invalid decimal literal"); the walk rejects it below.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(body, mode="eval")
+    except SyntaxError as exc:
+        col = pos[min((exc.offset or 1) - 1, len(body))]
+        raise ExpressionError(f"invalid syntax at position {col} in {text!r}") from None
+    return Expression(text.strip(), build(tree.body))

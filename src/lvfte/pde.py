@@ -409,39 +409,33 @@ def _rk4_reaction(react: Reaction, w: np.ndarray, h: float) -> np.ndarray:
     return w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def single_species_steady_state(
-    d: float,
-    m: ResourceField,
-    *,
-    tol: float = 1e-9,
-    t_max: float = 1e5,
-) -> np.ndarray:
+STEADY_TOL = 1e-9  # a steady-state march stops once sup|Δw|/dt falls below this
+STEADY_T_MAX = 1e5  # and raises NonConvergence if it has not stopped by this time
+
+
+def single_species_steady_state(d: float, m: ResourceField) -> np.ndarray:
     """Positive steady profile of w_t = d w_xx + w (m - w), zero-flux ends.
 
     Marches the scalar equation with implicit diffusion and explicit
     reaction; a fixed point of that update solves the discrete steady
-    problem exactly, so the stopping rule sup|Δw|/dt < tol bounds the
-    discrete residual directly.  Requires max(m) > 0 (otherwise the only
-    non-negative steady state is zero).
+    problem exactly, so the stopping rule sup|Δw|/dt < STEADY_TOL bounds
+    the discrete residual directly.  A march that has not stopped by
+    STEADY_T_MAX raises NonConvergence.  Requires max(m) > 0 (otherwise
+    the only non-negative steady state is zero).
 
-    Profiles are memoised per process by value (d, grid, the bytes of m,
-    tol, t_max), so sweeps that revisit a diffusivity do not march again.
-    Each call returns a fresh copy; a march that fails is not memoised.
+    Profiles are memoised per process by value (d, grid, the bytes of m),
+    so sweeps that revisit a diffusivity do not march again.  Each call
+    returns a fresh copy; a march that fails is not memoised.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParameter("diffusivity must be positive and finite")
-    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(t_max) and t_max > 0.0):
-        raise InvalidParameter(f"tol and t_max must be positive and finite, got {tol!r}, {t_max!r}")
     if m.values.max() <= 0.0:
         raise InvalidParameter("resource must be positive somewhere")
-    profile = _steady_state(float(d), m.grid, m.values.tobytes(), float(tol), float(t_max))
-    return profile.copy()
+    return _steady_state(float(d), m.grid, m.values.tobytes()).copy()
 
 
 @functools.lru_cache(maxsize=256)
-def _steady_state(
-    d: float, grid: Grid1D, resource: bytes, tol: float, t_max: float
-) -> np.ndarray:
+def _steady_state(d: float, grid: Grid1D, resource: bytes) -> np.ndarray:
     vals = np.frombuffer(resource)
     n, dx = grid.n_x, grid.dx
 
@@ -451,7 +445,7 @@ def _steady_state(
     solver = _ImplicitDiffusion(n, dx, (d,), dt)
     t = 0.0
     step = 0
-    while t < t_max:
+    while t < STEADY_T_MAX:
         w_new = solver.apply(w + dt * (vals * w - w * w))
         rate = float(np.max(np.abs(w_new - w))) / dt
         w = np.maximum(w_new, 0.0)
@@ -459,14 +453,14 @@ def _steady_state(
         step += 1
         if not math.isfinite(float(w.sum())):
             raise NonConvergence("steady-state march produced non-finite values")
-        if rate < tol:
+        if rate < STEADY_TOL:
             w.flags.writeable = False
             return w
         if step % 64 == 0 and dt < dt_cap:
             dt = min(dt_cap, dt * 1.5)
             solver = _ImplicitDiffusion(n, dx, (d,), dt)
     raise NonConvergence(
-        f"single-species steady state not reached by t={t_max:g} (rate {rate:.3e})"
+        f"single-species steady state not reached by t={STEADY_T_MAX:g} (rate {rate:.3e})"
     )
 
 
@@ -514,7 +508,8 @@ def simulate_pde(
 
     Returns (snapshots, outcome).  Snapshots always include the initial and
     final states plus any requested interior times.  The verdict logic runs
-    every ``check_interval``, at each snapshot and at t_end:
+    at the checks (every ``check_interval``) and at t_end only; a snapshot
+    time stops the stepper to record the state but does not classify:
 
     * UWins  -- sup v < TOL_OUT and sup|u - u_ref| < TOL_OUT, where u_ref
       is u's single-survivor profile,
@@ -577,18 +572,15 @@ def simulate_pde(
             solvers[h_eff] = solver
         return solver
 
-    # Event times: user snapshots, periodic checks, final time.
-    snap_times = sorted(
-        {float(s) for s in opts.snapshot_times if 0.0 < float(s) <= t_end}
-    )
-    events: Dict[float, bool] = {t: True for t in snap_times}
+    # Event times: user snapshots, and the checks (periodic, and the final time).
+    snap_times = {float(s) for s in opts.snapshot_times if 0.0 < float(s) <= t_end}
+    checks = {t_end}
     if opts.check_interval > 0.0:
         k = 1
         while k * opts.check_interval < t_end:
-            events.setdefault(k * opts.check_interval, False)
+            checks.add(k * opts.check_interval)
             k += 1
-    events.setdefault(t_end, False)
-    targets = sorted(events)
+    targets = sorted(snap_times | checks)
 
     snapshots: List[Tuple[float, PdeState]] = [(0.0, PdeState(grid, w[0], w[1]))]
     # First time each clampable row is zero everywhere.
@@ -674,9 +666,9 @@ def simulate_pde(
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break
-        if events[target]:
+        if target in snap_times:
             snapshots.append((t, PdeState(grid, w[0], w[1])))
-        verdict = classify_now(last_rate)
+        verdict = classify_now(last_rate) if target in checks else None
         if verdict is not None:
             label = verdict
             break
@@ -692,7 +684,7 @@ def simulate_pde(
 
     outcome = PdeOutcome(
         label=label,
-        t_reached=t,
+        t_reached=float(t),  # t is a NumPy scalar when dt or check_interval is one
         fte_u=fte_time[0] is not None,
         fte_v=fte_time[1] is not None,
         fte_u_time=fte_time[0],

@@ -3,9 +3,9 @@
 ``scan_diffusion`` tiles a (d1, d2) rectangle (log-spaced axes by default),
 runs ``simulate_pde`` per cell with a shared initial-data policy, and
 collects the verdicts into an immutable grid.  Cells run in parallel with
-``ProcessPoolExecutor``; results are placed by index so the grid is
-deterministic regardless of completion order, and a failing cell records
-Undecided with an error note instead of aborting the sweep.
+``ProcessPoolExecutor``, whose ``map`` returns results in task order, so the
+grid is deterministic regardless of completion order; a failing cell
+records Undecided with an error note instead of aborting the sweep.
 
 ``scan_c1_window`` sweeps the cross-competition coefficient c1 and counts
 interior equilibria for two one-sided sub-linear variants (p < 1 with
@@ -29,6 +29,7 @@ from .pde import (
     UNDECIDED,
     Grid1D,
     PdeOptions,
+    PdeOutcome,
     PdeParams,
     PdeState,
     _resolve,
@@ -102,23 +103,12 @@ def initial_state_for_policy(template: PdeParams, grid: Grid1D, offset: float) -
     return PdeState(grid, base, base.copy())
 
 
-def _run_cell(
-    args: Tuple[int, int, PdeParams, PdeState, float, PdeOptions]
-) -> Tuple[int, int, str, float, bool, bool, str]:
-    i, j, params, init, t_end, opts = args
+def _run_cell(args: Tuple[PdeParams, PdeState, float, PdeOptions]) -> PdeOutcome:
+    params, init, t_end, opts = args
     try:
-        _, outcome = simulate_pde(params, init, t_end, opts)
-        return (
-            i,
-            j,
-            outcome.label,
-            outcome.t_reached,
-            outcome.fte_u,
-            outcome.fte_v,
-            outcome.note,
-        )
+        return simulate_pde(params, init, t_end, opts)[1]
     except LvfteError as exc:  # per-cell numerical failures never abort the sweep
-        return (i, j, UNDECIDED, 0.0, False, False, f"{type(exc).__name__}: {exc}")
+        return PdeOutcome(UNDECIDED, 0.0, note=f"{type(exc).__name__}: {exc}")
 
 
 def scan_diffusion(
@@ -158,47 +148,39 @@ def scan_diffusion(
     options.validate()  # once for the sweep, not as an Undecided note per cell
 
     init = initial_state_for_policy(template, grid, ic_offset)
-    tasks = []
-    for i, d1 in enumerate(d1_tuple):
-        for j, d2 in enumerate(d2_tuple):
-            cell = replace(template, d1=d1, d2=d2)
-            tasks.append((i, j, cell, init, float(t_end), options))
-
-    shape = (len(d1_tuple), len(d2_tuple))
-    labels = np.full(shape, UNDECIDED, dtype=object)
-    t_reach = np.zeros(shape)
-    fte_u = np.zeros(shape, dtype=bool)
-    fte_v = np.zeros(shape, dtype=bool)
-    notes = np.full(shape, "", dtype=object)
+    # Row-major task order; map and pool.map both return results in it.
+    tasks = [
+        (replace(template, d1=d1, d2=d2), init, float(t_end), options)
+        for d1 in d1_tuple
+        for d2 in d2_tuple
+    ]
 
     if workers is not None and workers < 1:
         raise InvalidParameter("workers must be a positive integer")
     if workers == 1:
-        results = map(_run_cell, tasks)
+        outcomes = list(map(_run_cell, tasks))
     else:
         # Imported here so that importing lvfte does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            results = list(pool.map(_run_cell, tasks, chunksize=1))
+            outcomes = list(pool.map(_run_cell, tasks, chunksize=1))
         finally:
             pool.shutdown()
-    for i, j, label, t_r, fu, fv, note in results:
-        labels[i, j] = label
-        t_reach[i, j] = t_r
-        fte_u[i, j] = fu
-        fte_v[i, j] = fv
-        notes[i, j] = note
+    rows = [outcomes[i : i + len(d2_tuple)] for i in range(0, len(outcomes), len(d2_tuple))]
+
+    def grid_of(field: str) -> Tuple[tuple, ...]:
+        return tuple(tuple(getattr(o, field) for o in row) for row in rows)
 
     return OutcomeGrid(
         d1_values=d1_tuple,
         d2_values=d2_tuple,
-        labels=tuple(tuple(row) for row in labels),
-        t_reached=tuple(tuple(float(x) for x in row) for row in t_reach),
-        fte_u=tuple(tuple(bool(x) for x in row) for row in fte_u),
-        fte_v=tuple(tuple(bool(x) for x in row) for row in fte_v),
-        notes=tuple(tuple(row) for row in notes),
+        labels=grid_of("label"),
+        t_reached=grid_of("t_reached"),
+        fte_u=grid_of("fte_u"),
+        fte_v=grid_of("fte_v"),
+        notes=grid_of("note"),
         ic_policy="half-resource",
     )
 

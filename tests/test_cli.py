@@ -527,11 +527,23 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("recipe", ["scan_outcome_map", "scan_exponent_window"])
     def test_zero_resolution_is_not_ignored(self, tmp_path, capsys, recipe):
+        # only a diffusion scan takes --workers
+        workers = ["--workers", "1"] if recipe == "scan_outcome_map" else []
         code = main(
             ["scan", "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out"),
-             "--workers", "1", "--resolution", "0"]
+             *workers, "--resolution", "0"]
         )
         assert code == 2
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3", "--resolution", "4"]])
+    def test_workers_is_rejected_by_a_c1_window_scan(self, tmp_path, capsys, flags):
+        code = main(
+            ["scan", "--config", str(CONFIGS / "scan_exponent_window.ini"),
+             "--out", str(tmp_path / "out"), *flags]
+        )
+        assert code == 2
+        assert "--workers applies to a diffusion scan only" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_wrong_model_kind_for_command(self, tmp_path):

@@ -151,16 +151,6 @@ class TestSingleSpeciesSteadyState:
         theta = single_species_steady_state(10.0, m)
         assert np.max(theta) - np.min(theta) < 1e-3
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(t_max=0.0), dict(t_max=math.inf), dict(tol=0.0), dict(tol=math.nan)],
-        ids=["t_max=0", "t_max=inf", "tol=0", "tol=nan"],
-    )
-    def test_rejects_bad_tol_and_t_max(self, kwargs):
-        m = logistic_resource(Grid1D(0.0, 1.0, 16))
-        with pytest.raises(InvalidParameter):
-            single_species_steady_state(0.01, m, **kwargs)
-
 
 class TestSimulatePde:
     def test_spatially_constant_run_tracks_the_ode(self):
@@ -223,6 +213,19 @@ class TestSimulatePde:
         assert times[-1] == pytest.approx(3.0, abs=1e-9)
         for _, state in snapshots:
             assert np.all(state.u >= 0.0) and np.all(state.v >= 0.0)
+
+    @pytest.mark.parametrize("snapshot_times", [(), (88.0,), (89.5,)])
+    def test_snapshot_times_do_not_move_the_verdict(self, snapshot_times):
+        # the run coexists by its check at t = 90; a snapshot is recorded but
+        # is no check, so the verdict stays at that check
+        g = Grid1D(0.0, 1.0, 32)
+        init = PdeState(g, 0.4 + 0.2 * np.cos(np.pi * g.centers()), np.full(32, 0.3))
+        opts = PdeOptions(dt=0.02, snapshot_times=snapshot_times, check_interval=10.0)
+        snapshots, outcome = simulate_pde(PdeParams(0.05, 0.01, kinetics=WEAK), init, 300.0, opts)
+        assert outcome.label == COEXIST
+        assert abs(outcome.t_reached - 90.0) < 1e-6
+        for t_snap in snapshot_times:
+            assert min(abs(t - t_snap) for t, _ in snapshots) < 1e-6
 
     def test_budget_exhaustion_is_reported(self):
         g = Grid1D(0.0, 1.0, 32)
@@ -315,9 +318,10 @@ def two_field_reference(params, init, t_end, opts):
     """simulate_pde as a two-field stepper: one scipy solve per species.
 
     This is the stepper simulate_pde used before u and v were stacked into
-    one field, kept as the bit-for-bit reference.  The only change is
+    one field, kept as the bit-for-bit reference.  It has two changes:
     ``check_finite=False`` on the solves, so that a non-finite step reaches
-    the dt-halving rule instead of raising ValueError inside scipy.
+    the dt-halving rule instead of raising ValueError inside scipy, and
+    verdicts taken at the checks and t_end only, not at snapshot times.
     Its clamp flags, default ``dt`` and survivor profiles are the
     per-flavour formulas written out here, and its verdict tolerances
     (1e-4, 1e-4, 1e-7), clamp level (1e-10), dt floor (1e-12) and tail
@@ -370,13 +374,13 @@ def two_field_reference(params, init, t_end, opts):
             factors[key] = cholesky_banded(ab)
         return cho_solve_banded((factors[key], False), rhs, check_finite=False)
 
-    events = {t: True for t in sorted({float(s) for s in opts.snapshot_times if 0.0 < s <= t_end})}
+    snap_times = {float(s) for s in opts.snapshot_times if 0.0 < s <= t_end}
+    checks = {t_end}
     if opts.check_interval > 0.0:
         k = 1
         while k * opts.check_interval < t_end:
-            events.setdefault(k * opts.check_interval, False)
+            checks.add(k * opts.check_interval)
             k += 1
-    events.setdefault(t_end, False)
 
     snapshots = [(0.0, PdeState(grid, u, v))]
     fte = {"u": None, "v": None}
@@ -413,7 +417,7 @@ def two_field_reference(params, init, t_end, opts):
 
     clamp(0.0, "start")
     rate, tail, budget_hit = math.inf, False, False
-    for target in sorted(events):
+    for target in sorted(snap_times | checks):
         while target - t > 1e-12 * max(1.0, target):
             if steps >= opts.max_steps:
                 budget_hit = True
@@ -455,9 +459,9 @@ def two_field_reference(params, init, t_end, opts):
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break
-        if events[target]:
+        if target in snap_times:
             snapshots.append((t, PdeState(grid, u, v)))
-        verdict = classify(rate)
+        verdict = classify(rate) if target in checks else None
         if verdict is not None:
             label = verdict
             break
@@ -789,7 +793,7 @@ class TestSteadyStateCache:
         m = logistic_resource(g)
         first = single_species_steady_state(2.5e-3, m)
         again = single_species_steady_state(2.5e-3, m)
-        fresh = lvfte_pde._steady_state.__wrapped__(2.5e-3, g, m.values.tobytes(), 1e-9, 1e5)
+        fresh = lvfte_pde._steady_state.__wrapped__(2.5e-3, g, m.values.tobytes())
         assert first.tobytes() == fresh.tobytes()
         assert again.tobytes() == fresh.tobytes()
 
@@ -809,19 +813,18 @@ class TestSteadyStateCache:
         first[:] = -1.0
         assert single_species_steady_state(4.5e-3, m).tobytes() == want.tobytes()
 
-    def test_failures_are_not_cached(self):
+    def test_failures_are_not_cached(self, monkeypatch):
+        monkeypatch.setattr(lvfte_pde, "STEADY_T_MAX", 1.0)
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)
         for _ in range(2):
             with pytest.raises(NonConvergence):
-                single_species_steady_state(5.5e-3, m, t_max=1.0)
+                single_species_steady_state(5.5e-3, m)
 
     def test_nonconvergence_reaches_the_reference_note(self, monkeypatch):
-        def short_march(d, m, **kw):
-            return real(d, m, t_max=1.0)
-
-        real = lvfte_pde.single_species_steady_state
-        monkeypatch.setattr(lvfte_pde, "single_species_steady_state", short_march)
+        # the memo key holds no march length, so drop profiles of full marches
+        lvfte_pde._steady_state.cache_clear()
+        monkeypatch.setattr(lvfte_pde, "STEADY_T_MAX", 1.0)
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)
         half = m.values / 2.0 + 0.01
