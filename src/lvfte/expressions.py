@@ -7,7 +7,9 @@ right-associative ``^`` (binding tighter than unary minus: ``-x^2`` is
 ``ast.parse`` reads the text with ``^`` as ``**``, and a walk over a
 whitelist of node types builds one closure per node.  Nothing is compiled
 or run by Python.  Evaluation accepts a float or a numpy array and
-broadcasts constants to the input shape.
+broadcasts constants to the input shape.  Every operation is numpy's, on
+constants too, so ``1/0`` is inf as ``1/x`` at x = 0 is.  An expression
+nested deeper than MAX_DEPTH operations is rejected when it is parsed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ __all__ = ["Expression", "parse_expression"]
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _NAMES = ", ".join(sorted(_FUNCTIONS))
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-              ast.Div: operator.truediv, ast.Pow: np.power}
+              ast.Div: np.true_divide, ast.Pow: np.power}
 _ALPHABET = re.compile(r"[A-Za-z0-9 _.+\-*/^()]")
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
+
+# Python's own limit on nested parentheses; it bounds the recursion of both
+# the parse and the evaluation well inside Python's recursion limit.
+MAX_DEPTH = 200
 
 _Node = Callable[[np.ndarray], Union[np.ndarray, float]]
 
@@ -89,18 +95,25 @@ def parse_expression(text: str) -> Expression:
     body = src.lstrip()  # Python's eval mode rejects an indented first line
     pos = pos[len(src) - len(body) :] + [len(text)]
 
-    def build(node: ast.expr) -> _Node:
+    def build(node: ast.expr, depth: int = 0) -> _Node:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {MAX_DEPTH} levels at position "
+                f"{pos[node.col_offset]} in {text!r}"
+            )
+        depth += 1
         match node:
             case ast.BinOp(lhs, op, rhs) if type(op) in _OPERATORS:
-                return lambda x, f=_OPERATORS[type(op)], a=build(lhs), b=build(rhs): f(a(x), b(x))
+                a, b = build(lhs, depth), build(rhs, depth)
+                return lambda x, f=_OPERATORS[type(op)], a=a, b=b: f(a(x), b(x))
             case ast.UnaryOp(ast.USub(), operand):
-                return lambda x, a=build(operand): -a(x)
+                return lambda x, a=build(operand, depth): -a(x)
             case ast.Constant() if _NUMBER.fullmatch(lit := ast.get_source_segment(body, node)):
                 return lambda x, v=float(lit): v
             case ast.Name("x"):
                 return lambda x: x
             case ast.Call(ast.Name(name), [arg], []) if name in _FUNCTIONS:
-                return lambda x, f=_FUNCTIONS[name], a=build(arg): f(a(x))
+                return lambda x, f=_FUNCTIONS[name], a=build(arg, depth): f(a(x))
             case ast.Name(name) | ast.Call(ast.Name(name)) if name not in {"x", *_FUNCTIONS}:
                 raise ExpressionError(f"unknown name {name!r} in {text!r} (allowed: x, {_NAMES})")
         raise ExpressionError(f"unsupported syntax at position {pos[node.col_offset]} in {text!r}")
@@ -114,4 +127,8 @@ def parse_expression(text: str) -> Expression:
     except SyntaxError as exc:
         col = pos[min((exc.offset or 1) - 1, len(body))]
         raise ExpressionError(f"invalid syntax at position {col} in {text!r}") from None
+    except (RecursionError, MemoryError):  # Python's parser gave up on the nesting
+        raise ExpressionError(
+            f"expression nested deeper than {MAX_DEPTH} levels in {text!r}"
+        ) from None
     return Expression(text.strip(), build(tree.body))

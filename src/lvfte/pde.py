@@ -16,8 +16,10 @@ symmetric operator splitting: an implicit diffusion half step, one explicit
 RK4 reaction step, then a second implicit diffusion half step.  The implicit
 half steps make the scheme robust for stiff diffusion (fine grids, large d)
 while keeping a banded solve of trivial cost.  Both densities are stepped as
-one stacked (2, n_x) field, so each half step is a single banded solve of the
-block-diagonal system for u and v together.
+one flat field of length 2 n_x, u's points then v's, so each half step is a
+single banded solve of the block-diagonal system for u and v together.  The
+reaction is specialised once per run (unit crowding, linear cross terms) to
+the fewest numpy calls that give the per-species formulas' bits.
 
 Sub-threshold clamping mirrors the ODE layer: a species whose kinetics lose
 Lipschitz continuity at zero (exponent < 1) is set to exactly zero at grid
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -311,12 +313,13 @@ def cho_solve_banded(cb_and_lower: Tuple[np.ndarray, bool], b: np.ndarray) -> np
 class _ImplicitDiffusion:
     """Backward-Euler diffusion step: solves (I - h d_k L) w_k = b_k.
 
-    One block per diffusivity in ``ds``; row k of a stacked field of shape
-    (len(ds), n) diffuses with ``ds[k]``.  The block-diagonal matrix is
-    symmetric positive definite (diagonally dominant), so one banded
-    Cholesky factorisation is computed once and reused.  The coupling entry
-    between blocks is zero, so the joint factor and solve give bit for bit
-    what separate per-block factors and solves give.
+    One block per diffusivity in ``ds``; block k of a flat field of length
+    len(ds) * n, its points k*n to (k+1)*n - 1, diffuses with ``ds[k]``.
+    The block-diagonal matrix is symmetric positive definite (diagonally
+    dominant), so one banded Cholesky factorisation is computed once and
+    reused.  The coupling entry between blocks is zero, so the joint factor
+    and solve give bit for bit what separate per-block factors and solves
+    give.
     """
 
     def __init__(self, n: int, dx: float, ds: Sequence[float], h: float) -> None:
@@ -331,8 +334,8 @@ class _ImplicitDiffusion:
         self._factor = (cholesky_banded(ab), False)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """Solve for a C-contiguous field of shape (n,) or (len(ds), n)."""
-        return cho_solve_banded(self._factor, w.reshape(-1)).reshape(w.shape)
+        """Solve for a flat field of length len(ds) * n; returns a new array."""
+        return cho_solve_banded(self._factor, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +369,8 @@ def _resolve(params: PdeParams, n: int) -> _Kinetics:
     return _Kinetics(growth, crowding, kin.c1, kin.c2, kin.p, kin.q, growth / crowding)
 
 
-# Reaction on the stacked field w = (u, v) of shape (2, n), given the rows
-# that are dead (zero everywhere after a finite-time extinction).
+# Reaction on the flat field w = (u, v) of length 2 n, given the rows (0 for
+# u, 1 for v) that are dead (zero everywhere after a finite-time extinction).
 Reaction = Callable[..., np.ndarray]
 
 
@@ -377,25 +380,34 @@ def _make_reaction(rec: _Kinetics) -> Reaction:
     Every entry is computed with the same floating-point operations, in the
     same order, as the per-species formulas
     du = u (g_u - k_u u) - c_u u^p v and dv = v (g_v - k_v v) - c_v u v^q.
-    (For unit crowding, 1.0 * w == w bit for bit.)
+    The run's record picks the fewest numpy calls that keep those bits:
+    unit crowding drops the product k w (1.0 * w == w bit for bit), and
+    p = q = 1 computes both cross terms as one broadcast (c u) v with c the
+    column (c_u, c_v) (u^1 is u itself, as ``safe_pow_arr`` returns it).
 
     ``react(w, dead)`` returns +0.0 on the rows in ``dead`` and skips both
     cross terms.  That is exact for a field whose dead rows are +0.0 and
     whose other entries are >= +0 (as after the clamp): the other row's
     cross term is then exactly +0, and x - (+0) == x.
     """
-    growth, crowding = rec.growth, rec.crowding
+    n = rec.growth.shape[1]
+    growth = rec.growth.reshape(-1)
+    crowding = None if np.all(rec.crowding == 1.0) else rec.crowding.reshape(-1)
     c_u, c_v, p, q = rec.c_u, rec.c_v, rec.p, rec.q
+    coef = np.array([[c_u], [c_v]]) if p == q == 1.0 else None
 
     def react(w: np.ndarray, dead: Sequence[int] = ()) -> np.ndarray:
-        out = w * (growth - crowding * w)
+        out = w * (growth - w) if crowding is None else w * (growth - crowding * w)
         if dead:
             for k in dead:
-                out[k] = 0.0
+                out[k * n : (k + 1) * n] = 0.0
             return out
-        u, v = w[0], w[1]
-        out[0] -= c_u * safe_pow_arr(u, p) * v
-        out[1] -= c_v * u * safe_pow_arr(v, q)
+        u, v = w[:n], w[n:]
+        if coef is not None:
+            out -= ((coef * u) * v).ravel()
+        else:
+            out[:n] -= c_u * safe_pow_arr(u, p) * v
+            out[n:] -= c_v * u * safe_pow_arr(v, q)
         return out
 
     return react
@@ -498,6 +510,35 @@ def _default_dt(rec: _Kinetics) -> float:
     return 0.05 / max(float(rec.growth.max()), rec.c_u, rec.c_v, 1e-6)
 
 
+def _targets(t_end: float, opts: PdeOptions) -> Iterator[Tuple[float, bool, bool]]:
+    """(time, is_snapshot, is_check) in increasing time, each time once.
+
+    The checks are ``k * check_interval`` below t_end, then t_end itself.
+    They are made one at a time as the run reaches them, so a run that ends
+    early never builds the rest.  A snapshot time equal to a check is
+    yielded once, as the snapshot's float, with both flags set.
+    """
+
+    def checks() -> Iterator[float]:
+        k = 1
+        while opts.check_interval > 0.0 and k * opts.check_interval < t_end:
+            yield k * opts.check_interval
+            k += 1
+        yield t_end
+
+    snaps = sorted({float(s) for s in opts.snapshot_times if 0.0 < float(s) <= t_end})
+    i = 0
+    for check in checks():
+        while i < len(snaps) and snaps[i] < check:
+            yield snaps[i], True, False
+            i += 1
+        if i < len(snaps) and snaps[i] == check:
+            yield snaps[i], True, True
+            i += 1
+        else:
+            yield check, False, True
+
+
 def simulate_pde(
     params: PdeParams,
     init: PdeState,
@@ -549,12 +590,14 @@ def simulate_pde(
     if params.resource_model and params.m.grid != grid:
         raise InvalidParameter("resource field and initial state use different grids")
 
-    # One C-contiguous stacked field: row 0 is u, row 1 is v.
-    w = np.stack((init.u, init.v))
+    # One flat field: u is w[:n] (row 0) and v is w[n:] (row 1).
+    w = np.concatenate((init.u, init.v))
     if not np.all(np.isfinite(w)):
         raise NonFiniteField("initial fields must be finite")
 
     n, dx = grid.n_x, grid.dx
+    rows = (slice(0, n), slice(n, 2 * n))
+    row_starts = np.array([0, n])
     rec = _resolve(params, n)
     react = _make_reaction(rec)
     clampable = (rec.p < 1.0, rec.q < 1.0)
@@ -572,17 +615,7 @@ def simulate_pde(
             solvers[h_eff] = solver
         return solver
 
-    # Event times: user snapshots, and the checks (periodic, and the final time).
-    snap_times = {float(s) for s in opts.snapshot_times if 0.0 < float(s) <= t_end}
-    checks = {t_end}
-    if opts.check_interval > 0.0:
-        k = 1
-        while k * opts.check_interval < t_end:
-            checks.add(k * opts.check_interval)
-            k += 1
-    targets = sorted(snap_times | checks)
-
-    snapshots: List[Tuple[float, PdeState]] = [(0.0, PdeState(grid, w[0], w[1]))]
+    snapshots: List[Tuple[float, PdeState]] = [(0.0, PdeState(grid, w[:n], w[n:]))]
     # First time each clampable row is zero everywhere.
     fte_time: List[Optional[float]] = [None, None]
     label: Optional[str] = None
@@ -596,12 +629,12 @@ def simulate_pde(
     # go through the mask.
     dead: List[int] = []
     live = [k for k in (0, 1) if clampable[k]]
-    live_mask = np.array(clampable).reshape(2, 1)
+    live_mask = np.repeat(clampable, n)
 
     def apply_clamp(t_now: float) -> None:
         np.maximum(w, 0.0, out=w)
         for k in dead:
-            w[k] = 0.0
+            w[rows[k]] = 0.0
         if not live:
             return
         low = w < EPS_EXT
@@ -610,17 +643,17 @@ def simulate_pde(
             low &= react(w, dead) <= 0.0
             w[low] = 0.0
         for k in tuple(live):
-            if not w[k].any():
+            if not w[rows[k]].any():
                 fte_time[k] = t_now
                 live.remove(k)
-                live_mask[k] = False
+                live_mask[rows[k]] = False
                 dead.append(k)
 
     def classify_now(rate: float) -> Optional[str]:
         for k, wins in ((0, U_WINS), (1, V_WINS)):
-            if float(w[1 - k].max()) < TOL_OUT:
+            if float(w[rows[1 - k]].max()) < TOL_OUT:
                 ref = refs.ref(k)
-                if ref is not None and float(np.max(np.abs(w[k] - ref))) < TOL_OUT:
+                if ref is not None and float(np.max(np.abs(w[rows[k]] - ref))) < TOL_OUT:
                     return wins
         # both fields above TOL_POS everywhere
         if float(w.min()) > TOL_POS and rate < TOL_STEADY:
@@ -631,7 +664,7 @@ def simulate_pde(
     last_rate = math.inf
     budget_hit = False
     imex_tail = False
-    for target in targets:
+    for target, is_snapshot, is_check in _targets(t_end, opts):
         slack = 1e-12 * max(1.0, target)
         while target - t > slack:
             if steps >= opts.max_steps:
@@ -639,8 +672,8 @@ def simulate_pde(
                 break
             h = min(dt, target - t)
             w_prev = w
-            # A dead row's sup norm is 0, which is the minimum.
-            low = 0.0 if dead else float(w.max(axis=1).min())
+            # The smaller row sup norm; a dead row's is 0, which is the minimum.
+            low = 0.0 if dead else min(np.maximum.reduceat(w, row_starts))
             if not imex_tail and low < TAIL_THRESHOLD:
                 imex_tail = True
             elif imex_tail and low > 10.0 * TAIL_THRESHOLD:
@@ -666,9 +699,9 @@ def simulate_pde(
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break
-        if target in snap_times:
-            snapshots.append((t, PdeState(grid, w[0], w[1])))
-        verdict = classify_now(last_rate) if target in checks else None
+        if is_snapshot:
+            snapshots.append((t, PdeState(grid, w[:n], w[n:])))
+        verdict = classify_now(last_rate) if is_check else None
         if verdict is not None:
             label = verdict
             break
@@ -680,7 +713,7 @@ def simulate_pde(
             if refs.note:
                 note += f"; {refs.note}"
     if snapshots[-1][0] != t:
-        snapshots.append((t, PdeState(grid, w[0], w[1])))
+        snapshots.append((t, PdeState(grid, w[:n], w[n:])))
 
     outcome = PdeOutcome(
         label=label,

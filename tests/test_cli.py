@@ -571,3 +571,23 @@ class TestErrorPaths:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("profile", ["1/0", "0/0", "x/0"])
+    def test_a_non_finite_profile_is_a_config_error(self, tmp_path, capsys, profile):
+        # constants divide as numpy arrays do: 1/0 is inf, which the resource rejects
+        code = main(
+            ["pde", "--config", str(CONFIGS / "pde_slower_diffuser.ini"),
+             "--out", str(tmp_path / "out"), "--set", f"resource.m={profile}"]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("profile", ["+".join(["x"] * 1000), "^".join(["x"] * 3000)])
+    def test_a_profile_nested_too_deep_is_a_config_error(self, tmp_path, capsys, profile):
+        code = main(
+            ["pde", "--config", str(CONFIGS / "pde_slower_diffuser.ini"),
+             "--out", str(tmp_path / "out"), "--set", f"resource.m={profile}"]
+        )
+        assert code == 2
+        assert "nested deeper than" in capsys.readouterr().err

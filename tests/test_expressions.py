@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvfte import ExpressionError, parse_expression
+from lvfte.expressions import MAX_DEPTH
 
 # parse_expression must not let a SyntaxWarning (or any other) escape; the
 # ignored one is libcst's, imported by hypothesis to explain a failure
@@ -45,6 +46,14 @@ class TestEvaluation:
         # profile validity (finiteness, sign) is enforced by the consumers
         assert np.isinf(ev("1/x", 0.0))
 
+    @pytest.mark.parametrize("x", [0.5, np.linspace(0.0, 1.0, 5)])
+    def test_constants_divide_as_arrays_do(self, x):
+        # numpy division between constants too: no ZeroDivisionError
+        assert np.all(ev("1/0", x) == np.inf)
+        assert np.all(ev("-1/0", x) == -np.inf)
+        assert np.all(np.isnan(ev("0/0", x)))
+        assert np.asarray(ev("1/3", x)).tobytes() == np.full(np.shape(x), 1.0 / 3.0).tobytes()
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -64,6 +73,27 @@ class TestParseErrors:
         with pytest.raises(ExpressionError) as err:
             parse_expression("tan(x)")
         assert "tan" in str(err.value)
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        ["+".join(["x"] * 1000), "^".join(["x"] * 3000), "-" * (MAX_DEPTH + 1) + "x",
+         "+".join(["x"] * 100_000)],
+        ids=["sum-1000", "power-3000", "minus", "sum-100000"],
+    )
+    def test_too_deep_is_rejected_when_parsed(self, text):
+        with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_expression(text)
+
+    def test_the_deepest_accepted_expressions_evaluate(self):
+        x = np.linspace(0.0, 1.0, 5)
+        total = np.zeros_like(x)
+        for _ in range(MAX_DEPTH + 1):
+            total = total + x
+        assert ev("+".join(["x"] * (MAX_DEPTH + 1)), x).tobytes() == total.tobytes()
+        assert ev("-" * MAX_DEPTH + "x", 0.5) == 0.5
+        assert ev("^".join(["1"] * (MAX_DEPTH + 1)), x).tobytes() == np.ones(5).tobytes()
 
 
 class TestExpressionObject:
@@ -114,7 +144,7 @@ _LEAVES = st.one_of(
     st.just(("x", 5, lambda x: x)),
 )
 _BINARY = {"+": (1, lambda a, b: a + b), "-": (1, lambda a, b: a - b),
-           "*": (2, lambda a, b: a * b), "/": (2, lambda a, b: a / b)}
+           "*": (2, lambda a, b: a * b), "/": (2, np.true_divide)}
 
 
 def _branches(kids):
@@ -147,12 +177,9 @@ class TestAgainstTheTree:
         expr = parse_expression(text)
         x = np.linspace(-2.0, 3.0, 11)
 
-        def bits(f):  # a constant 0/0 is Python float division and raises
-            try:
-                with np.errstate(all="ignore"):
-                    return np.asarray(f(), dtype=float).tobytes()
-            except ZeroDivisionError:
-                return "ZeroDivisionError"
+        def bits(f):
+            with np.errstate(all="ignore"):
+                return np.asarray(f(), dtype=float).tobytes()
 
         assert bits(lambda: expr(x)) == bits(lambda: np.broadcast_to(value(x), x.shape))
         assert bits(lambda: expr(0.7)) == bits(lambda: value(np.asarray(0.7)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -602,6 +603,33 @@ def test_stacked_stepper_matches_two_field_reference(
         assert got.v.tobytes() == want.v.tobytes()
 
 
+def test_stacked_cases_cover_every_specialised_reaction():
+    # _make_reaction specialises on unit crowding and on p = q = 1; each
+    # specialisation, and the general path with a dead row, is pinned above
+    def covers(want):
+        return any(want(params, init, opts, deaths)
+                   for _, params, init, _, opts, _, _, deaths in STACKED_CASES)
+
+    def crowding(params):
+        kin = params.kinetics
+        return (1.0, 1.0) if kin is None else (kin.b1, kin.b2)
+
+    def linear(params):
+        kin = params.kinetics
+        return params.p == 1.0 if kin is None else kin.p == kin.q == 1.0
+
+    # resource, p = 1: unit crowding, one broadcast cross term, map settings
+    assert covers(lambda params, init, opts, deaths: params.resource_model and linear(params)
+                  and init.grid.n_x == 64 and opts.dt == 0.5 and opts.check_interval > 0.0)
+    # constant kinetics with p = q = 1 and non-unit crowding
+    assert covers(lambda params, init, opts, deaths: not params.resource_model
+                  and linear(params) and crowding(params) != (1.0, 1.0))
+    # p or q < 1 (safe_pow_arr) with a row that dies, under both crowdings
+    for unit in (True, False):
+        assert covers(lambda params, init, opts, deaths: not linear(params) and deaths
+                      and (crowding(params) == (1.0, 1.0)) == unit)
+
+
 def _record_cases():
     """(name, params) over both flavours, unit and non-unit crowding, p and q."""
     g = Grid1D(0.0, 1.0, 24)
@@ -657,7 +685,54 @@ def test_resolved_record_matches_the_per_flavour_formulas(name, params):
             for k in dead:
                 w[k] = 0.0
             want = np.stack(want_react(w[0].copy(), w[1].copy()))
-            assert react(w.copy(), dead).tobytes() == want.tobytes()
+            assert react(w.reshape(-1).copy(), dead).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_end, check_interval, snapshot_times",
+    [
+        (20.0, 5.0, ()),
+        (20.0, 5.0, (5.0, 7.5, 7.5, 20.0, 25.0, 0.0, -1.0)),
+        (12.0, 2.5, (0.1, 2.5, 11.999, 12.0)),
+        (1.0, 0.1, (0.3, 0.30000000000000004, 0.7)),
+        (10.0, np.float64(3.0), (3.0, 9.5)),
+        (10.0, 0.0, (4.0,)),
+        (10.0, -1.0, ()),
+        (10.0, 20.0, (10.0,)),
+    ],
+)
+def test_targets_are_the_sorted_union_of_snapshots_and_checks(
+    t_end, check_interval, snapshot_times
+):
+    # the rule simulate_pde used before it made its checks one at a time
+    snaps = {float(s) for s in snapshot_times if 0.0 < float(s) <= t_end}
+    checks = {t_end}
+    k = 1
+    while check_interval > 0.0 and k * check_interval < t_end:
+        checks.add(k * check_interval)
+        k += 1
+    want = [(x, x in snaps, x in checks) for x in sorted(snaps | checks)]
+    opts = PdeOptions(check_interval=check_interval, snapshot_times=snapshot_times)
+    got = list(lvfte_pde._targets(t_end, opts))
+    assert [(repr(x), a, b) for x, a, b in got] == [(repr(x), a, b) for x, a, b in want]
+
+
+def test_a_short_run_does_not_build_every_check_time():
+    # t_end = 2e7 at the default check_interval of 5 is 4e6 checks; a run
+    # that stops after one step makes only the first
+    g = Grid1D(0.0, 1.0, 16)
+    init = PdeState(g, np.full(16, 0.5), np.full(16, 0.6))
+    params = PdeParams(0.01, 0.02, kinetics=WEAK)
+    simulate_pde(params, init, 1.0, PdeOptions(dt=0.5))  # loads scipy
+    tracemalloc.start()
+    try:
+        _, outcome = simulate_pde(params, init, 2e7, PdeOptions(dt=0.5, max_steps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.label == UNDECIDED
+    assert outcome.note == "step budget (1) exhausted at t=0.5"
+    assert peak < 2 * 2**20
 
 
 def test_default_dt_has_one_floor_for_both_flavours():
@@ -695,10 +770,10 @@ def test_joint_block_factor_equals_separate_factors():
     n, dx, h = 64, 1.0 / 64, 0.25
     ds = (3.98e-3, 3.98e-2)
     rhs = np.random.default_rng(3).uniform(0.0, 1.0, (2, n))
-    joint = lvfte_pde._ImplicitDiffusion(n, dx, ds, h).apply(rhs)
+    joint = lvfte_pde._ImplicitDiffusion(n, dx, ds, h).apply(rhs.reshape(-1))
     for k, d in enumerate(ds):
         alone = lvfte_pde._ImplicitDiffusion(n, dx, (d,), h).apply(rhs[k].copy())
-        assert joint[k].tobytes() == alone.tobytes()
+        assert joint[k * n : (k + 1) * n].tobytes() == alone.tobytes()
 
 
 class TestNonFiniteStep:
