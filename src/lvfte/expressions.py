@@ -126,6 +126,10 @@ def parse_expression(text: str) -> Expression:
             tree = ast.parse(body, mode="eval")
     except SyntaxError as exc:
         col = pos[min((exc.offset or 1) - 1, len(body))]
+        if exc.msg == "too many nested parentheses":  # Python's MAX_DEPTH limit
+            raise ExpressionError(
+                f"expression nested deeper than {MAX_DEPTH} levels at position {col} in {text!r}"
+            ) from None
         raise ExpressionError(f"invalid syntax at position {col} in {text!r}") from None
     except (RecursionError, MemoryError):  # Python's parser gave up on the nesting
         raise ExpressionError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -172,11 +172,14 @@ def classify_regime(params: KineticParams) -> Regime:
     return Regime.STRONG_COMPETITION
 
 
-def rhs(params: KineticParams, s: State2) -> State2:
-    """Time derivative of the competition model at state s."""
+def rhs(params: KineticParams, s: Tuple[float, float]) -> State2:
+    """Time derivative of the competition model at state s, any (u, v) pair."""
     u, v = s
-    du = u * (params.a1 - params.b1 * u) - params.c1 * safe_pow(u, params.p) * v
-    dv = v * (params.a2 - params.b2 * v) - params.c2 * u * safe_pow(v, params.q)
+    # A unit exponent is the identity; safe_pow would return the base as is.
+    up = u if params.p == 1.0 else safe_pow(u, params.p)
+    vq = v if params.q == 1.0 else safe_pow(v, params.q)
+    du = u * (params.a1 - params.b1 * u) - params.c1 * up * v
+    dv = v * (params.a2 - params.b2 * v) - params.c2 * u * vq
     return State2(du, dv)
 
 

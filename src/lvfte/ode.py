@@ -11,6 +11,7 @@ solution of the scalar comparison equation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -226,6 +227,12 @@ def _clampable(params: AnyParams) -> Tuple[bool, bool]:
     return params.p < 1.0, params.q < 1.0
 
 
+@functools.lru_cache(maxsize=256)
+def _known_equilibria(params: KineticParams) -> Tuple[Equilibrium, ...]:
+    """all_equilibria(params), computed once per parameter value."""
+    return tuple(all_equilibria(params))
+
+
 def integrate(
     params: AnyParams,
     ic: State2,
@@ -259,26 +266,29 @@ def integrate(
     locked = [False, False]
 
     def f(u: float, v: float) -> Tuple[float, float]:
-        du, dv = kinetics(params, State2(u, v))
+        du, dv = kinetics(params, (u, v))
         if locked[0]:
             du = 0.0
         if locked[1]:
             dv = 0.0
         return du, dv
 
-    known = [] if harvest else all_equilibria(params)
+    known = () if harvest else _known_equilibria(params)
     traj = Trajectory()
     samples = traj.samples
 
     def terminal_at(u: float, v: float, du: float, dv: float) -> Optional[Attractor]:
         speed = math.hypot(du, dv)
+        # Every lock rule needs speed < LOCK_SPEED (an exact hit needs 1e-12).
+        if not speed < LOCK_SPEED:
+            return None
         for eq in known:
             r = math.hypot(u - eq.point.u, v - eq.point.v)
             if r < 1e-12 and speed < 1e-12:
                 return Attractor(_KIND_NAMES[eq.kind], eq.point)
-            if r < LOCK_RADIUS and speed < LOCK_SPEED and eq.stability not in _REPELLING:
+            if r < LOCK_RADIUS and eq.stability not in _REPELLING:
                 return Attractor(_KIND_NAMES[eq.kind], eq.point)
-        if harvest and speed < LOCK_SPEED:
+        if harvest:
             return Attractor("steady", State2(u, v))
         return None
 
@@ -483,12 +493,12 @@ def trace_separatrix(
     box = ((0.0, 2.0 * params.a1 / params.b1), (0.0, 2.0 * params.a2 / params.b2))
 
     def backward(u: float, v: float) -> Tuple[float, float]:
-        du, dv = rhs(params, State2(u, v))
+        du, dv = rhs(params, (u, v))
         return -du, -dv
 
     others = [
         eq
-        for eq in all_equilibria(params)
+        for eq in _known_equilibria(params)
         if math.hypot(eq.point.u - saddle.point.u, eq.point.v - saddle.point.v) > 1e-9
     ]
     (ulo, uhi), (vlo, vhi) = box

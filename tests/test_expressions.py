@@ -86,6 +86,13 @@ class TestNesting:
         with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH} levels"):
             parse_expression(text)
 
+    def test_too_many_parentheses_is_reported_as_nesting(self):
+        # Python's tokenizer stops at MAX_DEPTH nested parentheses
+        text = "sin(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH} levels at position 803"):
+            parse_expression(text)
+        assert ev("sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 0.0) == 0.0
+
     def test_the_deepest_accepted_expressions_evaluate(self):
         x = np.linspace(0.0, 1.0, 5)
         total = np.zeros_like(x)

@@ -275,3 +275,59 @@ class TestStepAccounting:
         assert (accepted, counts["full"], counts["trial"]) == (184, 208, 15)
         assert counts["rhs"] == 6 * counts["full"] + 5 * counts["trial"] + 2
         assert counts["rhs"] / accepted <= 7.21
+
+
+class TestEquilibriumMemo:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = ode_mod.all_equilibria
+
+        def counting(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(ode_mod, "all_equilibria", counting)
+        ode_mod._known_equilibria.cache_clear()
+        yield calls
+        ode_mod._known_equilibria.cache_clear()
+
+    def test_equal_parameter_values_share_one_equilibrium_scan(self, scans):
+        first = KineticParams(a1=1.8, b1=1, c1=0.5, a2=3, b2=1, c2=1.8, p=0.4, q=1.0)
+        second = KineticParams(a1=1.8, b1=1, c1=0.5, a2=3, b2=1, c2=1.8, p=0.4, q=1.0)
+        assert first is not second and first == second
+        for params in (first, second):
+            traj = integrate(params, State2(0.5, 10.0), 200.0)
+            assert traj.terminal is not None and traj.terminal.name == "v-axis"
+        assert len(scans) == 1
+
+    def test_a_failed_scan_is_not_remembered(self, scans, monkeypatch):
+        counting = ode_mod.all_equilibria
+
+        def failing(params):
+            counting(params)
+            raise NumericalError("scan failed")
+
+        monkeypatch.setattr(ode_mod, "all_equilibria", failing)
+        with pytest.raises(NumericalError, match="scan failed"):
+            integrate(WEAK, State2(0.5, 0.5), 500.0)
+        monkeypatch.setattr(ode_mod, "all_equilibria", counting)
+        traj = integrate(WEAK, State2(0.5, 0.5), 500.0)
+        assert traj.terminal is not None and traj.terminal.name == "interior"
+        assert len(scans) == 2
+
+
+@pytest.mark.parametrize(
+    "params, u, v",
+    [
+        (KineticParams(a1=1, b1=1, c1=0.3, a2=2, b2=1, c2=1.8, p=1.0, q=0.5), 0.3, 0.7),
+        (KineticParams(a1=1, b1=1, c1=0.3, a2=2, b2=1, c2=1.8, p=0.4, q=1.0), 0.3, 0.7),
+        (FTE_CERTIFIED, -1e-9, 2.5),
+        (WEAK, -1e-9, 0.25),
+    ],
+    ids=["p=1", "q=1", "negative-u", "negative-u-unit-exponents"],
+)
+def test_rhs_takes_a_plain_pair(params, u, v):
+    pair, state = ode_mod.rhs(params, (u, v)), ode_mod.rhs(params, State2(u, v))
+    assert isinstance(pair, State2)
+    assert [x.hex() for x in pair] == [x.hex() for x in state]
