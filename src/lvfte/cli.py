@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: equilibria, simulate, separatrix, pde, scan.  Every command
-reads an INI config (--config), applies --set overrides, writes CSV
-artifacts plus a deterministic summary.json into --out, and exits with
-0 on success, 2 on configuration or parameter errors, 3 on numerical
-failures.
+reads an INI config (--config), applies --set overrides, rejects a model
+kind or key it never reads (``_READS``), writes CSV artifacts plus a
+deterministic summary.json into --out, and exits with 0 on success, 2 on
+configuration, parameter or output-path errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -41,51 +41,73 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _open_output(path: Path):
+    """Open an output file; a path that cannot be written is a usage error."""
+    try:
+        return path.open("w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     import csv
 
-    with path.open("w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _integrate_options(cfg: ExperimentConfig) -> IntegrateOptions:
-    opts = IntegrateOptions()
-    rtol = cfg.get("solver", "rtol")
-    atol = cfg.get("solver", "atol")
-    max_steps = cfg.get("solver", "max_steps")
-    if rtol is not None:
-        opts.rtol = float(rtol)
-    if atol is not None:
-        opts.atol = float(atol)
-    if max_steps is not None:
-        opts.max_steps = int(max_steps)
-    return opts
-
-
-# The ``solver`` keys each command reads; main rejects any other.  Every
-# command accepts solver.t_end, which a shared config may carry.
-_SOLVER_KEYS = {
-    "equilibria": ("t_end",),
-    "simulate": ("t_end", "rtol", "atol", "max_steps"),
-    "separatrix": ("t_end", "rtol", "atol"),
-    "pde": ("t_end", "dt", "snapshots", "check_interval", "max_steps"),
-    "scan": ("t_end",),
+# The keys each command reads, per model kind it takes.  main rejects any
+# other kind, and any key outside the row, before it writes anything.  A read
+# that depends on a value or a flag still counts (separatrix.threshold_samples
+# at 0 < p < 1 = q; scan.resolution and scan.samples under --resolution).
+_ALWAYS = {"run": ("name", "seed"), "model": ("kind",)}
+_KINETICS = {"kinetics": tuple(SCHEMA["kinetics"])}
+_RESOURCE = {"resource": tuple(SCHEMA["resource"])}
+_TRAJECTORY = {**_KINETICS, "initial": ("u", "v"),
+               "solver": ("t_end", "rtol", "atol", "max_steps")}
+_PDE_RUN = {"domain": tuple(SCHEMA["domain"]), "initial": ("u", "v"),
+            "solver": ("t_end", "dt", "snapshots", "check_interval", "max_steps")}
+# a diffusion sweep builds its own initial data, and sets n_x, d1 and d2 itself
+_SWEEP = {"domain": ("x0", "x1"),
+          "scan": ("d1_min", "d1_max", "d2_min", "d2_max", "resolution", "t_end", "dt", "n_x",
+                   "check_interval", "max_steps", "ic_offset")}
+_READS = {
+    "equilibria": {"ode": _KINETICS},
+    "simulate": {"ode": _TRAJECTORY, "ode-harvest": {**_TRAJECTORY, "harvest": ("d", "e", "a")}},
+    "separatrix": {"ode": {**_KINETICS, "solver": ("rtol", "atol"),
+                           "separatrix": ("delta", "threshold_samples", "max_backward_time")}},
+    "pde": {"pde-const": {**_KINETICS, **_PDE_RUN, "conditions": ("check",)},
+            "pde-inhomogeneous": {**_RESOURCE, **_PDE_RUN}},
+    # the c1 window sets c1, p and q of the template itself
+    "scan": {"ode": {"kinetics": ("a1", "a2", "b1", "b2", "c1", "c2"),
+                     "scan": ("c1_min", "c1_max", "samples", "p_exponent", "q_exponent")},
+             "pde-const": {**_KINETICS, **_SWEEP}, "pde-inhomogeneous": {**_RESOURCE, **_SWEEP}},
 }
 
 
-def _check_solver_keys(cfg: ExperimentConfig, command: str) -> None:
-    """Raise ConfigError for a ``solver`` key that ``command`` never reads."""
-    for key in SCHEMA["solver"]:
-        if key not in _SOLVER_KEYS[command] and cfg.get("solver", key) is not None:
-            raise ConfigError(f"solver.{key} does not apply to {command}, which never reads it")
+def _check_reads(cfg: ExperimentConfig, command: str) -> None:
+    """Raise ConfigError for a model kind or a key that ``command`` never reads."""
+    rows = _READS[command]
+    if cfg.kind not in rows:
+        raise ConfigError(f"{command} requires model kind {' or '.join(map(repr, rows))}")
+    reads = {**_ALWAYS, **rows[cfg.kind]}
+    for section, values in cfg.sections.items():
+        for key in values:
+            if key not in reads.get(section, ()):
+                raise ConfigError(
+                    f"{section}.{key} does not apply to {command}, which never reads it"
+                )
+
+
+def _solver_options(cfg: ExperimentConfig) -> Dict[str, object]:
+    """The ``solver`` keys but t_end: by _READS, options of the command's solver."""
+    return {key: val for key, val in cfg.sections.get("solver", {}).items() if key != "t_end"}
 
 
 def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    if cfg.kind != "ode":
-        raise ConfigError("equilibria requires model kind 'ode'")
     params = cfg.build_kinetics()
     eqs = all_equilibria(params)
     rows = []
@@ -135,16 +157,10 @@ def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    kind = cfg.kind
-    if kind == "ode":
-        params = cfg.build_kinetics()
-    elif kind == "ode-harvest":
-        params = cfg.build_harvest()
-    else:
-        raise ConfigError("simulate requires model kind 'ode' or 'ode-harvest'")
+    params = cfg.build_kinetics() if cfg.kind == "ode" else cfg.build_harvest()
     ic = cfg.build_initial_point()
     t_end = float(cfg.require("solver", "t_end"))
-    traj = integrate(params, ic, t_end, _integrate_options(cfg))
+    traj = integrate(params, ic, t_end, IntegrateOptions(**_solver_options(cfg)))
     _write_csv(
         out_dir / "trajectory.csv",
         ("t", "u", "v"),
@@ -170,8 +186,6 @@ def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object
 
 
 def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    if cfg.kind != "ode":
-        raise ConfigError("separatrix requires model kind 'ode'")
     params = cfg.build_kinetics()
     saddles = [
         eq for eq in interior_equilibria(params) if eq.stability is Stability.SADDLE
@@ -181,10 +195,8 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     saddle = saddles[0]
     delta = float(cfg.get("separatrix", "delta", 1e-6))
     max_back = float(cfg.get("separatrix", "max_backward_time", 200.0))
-    tols = _integrate_options(cfg)
     sep = trace_separatrix(
-        params, saddle, delta=delta, max_backward_time=max_back,
-        rtol=tols.rtol, atol=tols.atol,
+        params, saddle, delta=delta, max_backward_time=max_back, **_solver_options(cfg)
     )
     rows = []
     arc = 0.0
@@ -216,30 +228,14 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     return result
 
 
-def _pde_options(cfg: ExperimentConfig) -> PdeOptions:
-    opts = PdeOptions()
-    dt = cfg.get("solver", "dt")
-    if dt is not None:
-        opts.dt = float(dt)
-    opts.snapshot_times = tuple(cfg.get("solver", "snapshots", ()))
-    check = cfg.get("solver", "check_interval")
-    if check is not None:
-        opts.check_interval = float(check)
-    max_steps = cfg.get("solver", "max_steps")
-    if max_steps is not None:
-        opts.max_steps = int(max_steps)
-    return opts
-
-
 def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    kind = cfg.kind
-    if kind not in ("pde-const", "pde-inhomogeneous"):
-        raise ConfigError("pde requires a PDE model kind")
     grid = cfg.build_grid()
     params = cfg.build_pde_params(grid)
     init = cfg.build_initial_state(grid)
     t_end = float(cfg.require("solver", "t_end"))
-    snapshots, outcome = simulate_pde(params, init, t_end, _pde_options(cfg))
+    opts = _solver_options(cfg)
+    opts["snapshot_times"] = opts.pop("snapshots", ())
+    snapshots, outcome = simulate_pde(params, init, t_end, PdeOptions(**opts))
 
     xs = grid.centers()
     manifest = []
@@ -269,8 +265,6 @@ def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     }
 
     if bool(cfg.get("conditions", "check", False)):
-        if kind != "pde-const":
-            raise ConfigError("conditions check requires model kind 'pde-const'")
         report = check_recovery_conditions(params.kinetics, init.u, init.v)
         _write_csv(
             out_dir / "conditions.csv",
@@ -298,16 +292,12 @@ def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
 
 
 def cmd_scan(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    mode = str(cfg.require("scan", "mode"))
-    if mode == "diffusion":
-        return _scan_diffusion(cfg, args, out_dir)
-    return _scan_window(cfg, args, out_dir)
+    if cfg.kind == "ode":
+        return _scan_window(cfg, args, out_dir)
+    return _scan_diffusion(cfg, args, out_dir)
 
 
 def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    kind = cfg.kind
-    if kind not in ("pde-const", "pde-inhomogeneous"):
-        raise ConfigError("diffusion scan requires a PDE model kind")
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)
@@ -326,12 +316,10 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
     )
     t_end = float(cfg.require("scan", "t_end"))
     opts = PdeOptions(
+        dt=cfg.get("scan", "dt"),
         check_interval=float(cfg.get("scan", "check_interval", 50.0)),
         max_steps=int(cfg.get("scan", "max_steps", 400_000)),
     )
-    dt = cfg.get("scan", "dt")
-    if dt is not None:
-        opts.dt = float(dt)
     result = scan_diffusion(
         template,
         d1_values,
@@ -375,8 +363,6 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
 
 
 def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
-    if cfg.kind != "ode":
-        raise ConfigError("c1-window scan requires model kind 'ode'")
     if args.workers is not None:
         raise ConfigError("--workers applies to a diffusion scan only")
     template = cfg.build_kinetics()
@@ -458,9 +444,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.set:
             cfg = apply_overrides(cfg, args.set)
-        _check_solver_keys(cfg, args.command)
+        _check_reads(cfg, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_dir}: {exc.strerror}") from None
         results = _COMMANDS[args.command](cfg, args, out_dir)
         summary = {
             "command": args.command,
@@ -470,9 +459,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "name": str(cfg.get("run", "name", "")),
             "results": results,
         }
-        (out_dir / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        )
+        with _open_output(out_dir / "summary.json") as fh:
+            fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
         return 0
     except (ConfigError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """INI experiment configs: schema, parsing, emission, overrides.
 
-A config is a set of typed sections; which sections are required depends
-on the model kind and the command being run, so presence checks happen in
-the builder methods rather than at parse time.  Unknown sections or keys
-are rejected with a best-effort line number.  ``emit_config`` produces a
-canonical text form such that ``parse_config(emit_config(cfg)) == cfg``.
+A config is a set of typed sections.  Parsing casts each value by
+``SCHEMA`` and rejects unknown sections or keys with a best-effort line
+number.  Which keys a command may carry, and which model kinds it takes,
+is the CLI's table ``lvfte.cli._READS``; required keys are checked by the
+builder methods.  ``emit_config`` produces a canonical text form such
+that ``parse_config(emit_config(cfg)) == cfg``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("ode", "ode-harvest", "pde-const", "pde-inhomogeneous")
-SCAN_MODES = ("diffusion", "c1-window")
 
 
 def _ctx(section: str, key: str) -> str:
@@ -141,7 +141,6 @@ SCHEMA: Dict[str, Dict[str, Callable[[str, str, str], object]]] = {
     },
     "conditions": {"check": _cast_bool},
     "scan": {
-        "mode": _cast_choice(*SCAN_MODES),
         "d1_min": _cast_float,
         "d1_max": _cast_float,
         "d2_min": _cast_float,
@@ -159,7 +158,6 @@ SCHEMA: Dict[str, Dict[str, Callable[[str, str, str], object]]] = {
         "p_exponent": _cast_float,
         "q_exponent": _cast_float,
     },
-    "output": {"dir": _cast_str},
 }
 
 
@@ -230,7 +228,7 @@ class ExperimentConfig:
         return Grid1D(
             x0=float(self.get("domain", "x0", 0.0)),
             x1=float(self.get("domain", "x1", 1.0)),
-            n_x=int(n_x_override or self.get("domain", "n_x", 128)),
+            n_x=int(self.get("domain", "n_x", 128) if n_x_override is None else n_x_override),
         )
 
     def build_resource(self, grid: Grid1D) -> ResourceField:

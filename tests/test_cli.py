@@ -8,7 +8,8 @@ import pytest
 
 import lvfte.ode
 from lvfte import State2
-from lvfte.cli import main
+from lvfte.cli import _ALWAYS, _READS, main
+from lvfte.config import MODEL_KINDS, SCHEMA
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -23,13 +24,6 @@ b1 = 1
 b2 = 1
 c1 = 0.3
 c2 = 1.8
-
-[initial]
-u = 0.5
-v = 0.5
-
-[solver]
-t_end = 50
 """
 
 TINY_SCAN = """\
@@ -48,12 +42,7 @@ b2 = 1
 c1 = 0.5
 c2 = 1.8
 
-[initial]
-u = 0.9
-v = 0.9
-
 [scan]
-mode = diffusion
 d1_min = 1e-3
 d1_max = 1e-1
 d2_min = 1e-3
@@ -93,6 +82,30 @@ v = 1
 t_end = 200
 dt = 50
 """
+
+
+# A config that each (command, model kind) row of the CLI's key table runs on:
+# a shipped recipe, or config text.
+ROW_CONFIGS = {
+    ("equilibria", "ode"): CONFIGS / "equilibria_mixed_exponents.ini",
+    ("simulate", "ode"): CONFIGS / "ode_extinction_event.ini",
+    ("simulate", "ode-harvest"): CONFIGS / "harvest_bistability.ini",
+    ("separatrix", "ode"): CONFIGS / "separatrix_threshold.ini",
+    ("pde", "pde-const"): CONFIGS / "pde_extinction_vs_recovery.ini",
+    ("pde", "pde-inhomogeneous"): CONFIGS / "pde_slower_diffuser.ini",
+    ("scan", "ode"): CONFIGS / "scan_exponent_window.ini",
+    ("scan", "pde-const"): TINY_SCAN,
+    ("scan", "pde-inhomogeneous"): CONFIGS / "scan_outcome_map.ini",
+}
+
+
+def row_config(tmp_path, command, kind):
+    config = ROW_CONFIGS[command, kind]
+    if isinstance(config, Path):
+        return config
+    path = tmp_path / f"{command}-{kind}.ini"
+    path.write_text(config)
+    return path
 
 
 def read_summary(out_dir):
@@ -534,6 +547,21 @@ class TestErrorPaths:
              *workers, "--resolution", "0"]
         )
         assert code == 2
+        message = {"scan_outcome_map": "log axis requires n >= 1",
+                   "scan_exponent_window": "samples must be at least 2"}[recipe]
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("n_x", ["0", "3"])
+    def test_a_sweep_grid_below_eight_cells_is_rejected(self, tmp_path, capsys, n_x):
+        # a zero scan.n_x once fell back to domain.n_x or 128 cells
+        code = main(
+            ["scan", "--config", str(CONFIGS / "scan_outcome_map.ini"), "--out", str(tmp_path / "out"),
+             "--workers", "1", "--resolution", "1", "--set", f"scan.n_x={n_x}",
+             "--set", "scan.t_end=1"]
+        )
+        assert code == 2
+        assert "error: grid requires n_x >= 8" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3", "--resolution", "4"]])
@@ -546,17 +574,21 @@ class TestErrorPaths:
         assert "--workers applies to a diffusion scan only" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
-    def test_wrong_model_kind_for_command(self, tmp_path):
-        code = main(
-            [
-                "pde",
-                "--config",
-                str(CONFIGS / "ode_extinction_event.ini"),
-                "--out",
-                str(tmp_path / "out"),
-            ]
-        )
-        assert code == 2
+    def test_wrong_model_kind_for_command(self, tmp_path, capsys):
+        # simulate and pde take two kinds each, together all four
+        kind_configs = {kind: row_config(tmp_path, command, kind)
+                        for command, kind in ROW_CONFIGS if command in ("simulate", "pde")}
+        assert set(kind_configs) == set(MODEL_KINDS)
+        checked = 0
+        for command, rows in _READS.items():
+            for kind in set(MODEL_KINDS) - set(rows):
+                out = tmp_path / f"{command}-{kind}"
+                code = main([command, "--config", str(kind_configs[kind]), "--out", str(out)])
+                assert code == 2, (command, kind)
+                assert f"error: {command} requires model kind" in capsys.readouterr().err
+                assert not out.exists()
+                checked += 1
+        assert checked == 11
 
     def test_invalid_parameter_reported_as_config_family(self, tmp_path):
         code = main(
@@ -591,3 +623,51 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "nested deeper than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind", sorted(ROW_CONFIGS))
+    def test_keys_a_command_never_reads_are_rejected(self, tmp_path, capsys, command, kind):
+        reads = {**_ALWAYS, **_READS[command][kind]}
+        unread = [f"{section}.{key}" for section, keys in SCHEMA.items()
+                  for key in keys if key not in reads.get(section, ())]
+        assert unread
+        config = row_config(tmp_path, command, kind)
+        for name in unread:
+            out = tmp_path / name
+            # "1" casts under every key type, so the key table alone can refuse it
+            code = main([command, "--config", str(config), "--out", str(out), "--set", f"{name}=1"])
+            assert code == 2, name
+            assert f"error: {name} does not apply to {command}, which never reads it" in (
+                capsys.readouterr().err
+            )
+            assert not out.exists()
+
+    def test_key_table_rows_match_the_model_kinds(self):
+        assert set(ROW_CONFIGS) == {(c, k) for c, rows in _READS.items() for k in rows}
+        for rows in _READS.values():
+            for reads in rows.values():
+                for section, keys in {**_ALWAYS, **reads}.items():
+                    assert set(keys) <= set(SCHEMA[section]), section
+
+    @pytest.mark.parametrize("old, new, sets, message", [
+        ("[scan]\n", "[scan]\nmode = c1-window\n", [], "unknown key scan.mode (line"),
+        ("[run]\n", "[output]\ndir = elsewhere\n[run]\n", [], "unknown section [output] (line"),
+        ("", "", ["--set", "scan.mode=diffusion"], "override targets unknown key scan.mode"),
+        ("", "", ["--set", "output.dir=elsewhere"], "override targets unknown key output.dir"),
+    ])
+    def test_scan_mode_and_output_are_unknown(self, tmp_path, capsys, old, new, sets, message):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((CONFIGS / "scan_exponent_window.ini").read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(cfg), "--out", str(out), *sets]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["file", "file/sub", "dir-with-csv", "dir-with-summary"])
+    def test_an_unusable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir-with-csv" / "equilibria.csv").mkdir(parents=True)
+        (tmp_path / "dir-with-summary" / "summary.json").mkdir(parents=True)
+        code = main(["equilibria", "--config", str(CONFIGS / "equilibria_mixed_exponents.ini"),
+                     "--out", str(tmp_path / target)])
+        assert code == 2
+        assert f"error: cannot write output {tmp_path / target}" in capsys.readouterr().err
