@@ -2,18 +2,22 @@
 
 Subcommands: equilibria, simulate, separatrix, pde, scan.  Every command
 reads an INI config (--config), applies --set overrides, rejects a model
-kind or key it never reads (``_READS``), writes CSV artifacts plus a
-deterministic summary.json into --out, and exits with 0 on success, 2 on
-configuration, parameter or output-path errors, 3 on numerical failures.
+kind or key it never reads (``_READS``) and returns its results and CSV
+tables.  main alone then creates --out and writes the tables plus a
+deterministic summary.json, so a run that exits 2 or 3 before that creates
+nothing.  Exit codes: 0 on success, 2 on configuration, parameter or
+output-path errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import (
@@ -32,8 +36,14 @@ from .scan import log_axis, scan_c1_window, scan_diffusion
 
 __all__ = ["main"]
 
+# file name -> (header, rows), written in order; a command returns its results and tables
+_Tables = Dict[str, Tuple[Sequence[str], Iterable[Sequence[object]]]]
+_Outputs = Tuple[Dict[str, object], _Tables]
+
 
 def _fmt(value: object) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -41,28 +51,28 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _open_output(path: Path):
-    """Open an output file; a path that cannot be written is a usage error."""
+def _write_outputs(out_dir: Path, tables: _Tables, summary: Dict[str, object]) -> None:
+    """The only output writer: a path that cannot be written is a usage error."""
+    path = out_dir
     try:
-        return path.open("w", newline="")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            path = out_dir / name
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(map(_fmt, row) for row in rows)
+        path = out_dir / "summary.json"
+        path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    import csv
-
-    with _open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 # The keys each command reads, per model kind it takes.  main rejects any
-# other kind, and any key outside the row, before it writes anything.  A read
-# that depends on a value or a flag still counts (separatrix.threshold_samples
-# at 0 < p < 1 = q; scan.resolution and scan.samples under --resolution).
+# other kind, and any key outside the row, before the command runs.  A read
+# that depends on a flag still counts (scan.resolution and scan.samples under
+# --resolution).  separatrix.threshold_samples is read and checked at every
+# exponent, though threshold.csv is written only at 0 < p < 1 = q.
 _ALWAYS = {"run": ("name", "seed"), "model": ("kind",)}
 _KINETICS = {"kinetics": tuple(SCHEMA["kinetics"])}
 _RESOURCE = {"resource": tuple(SCHEMA["resource"])}
@@ -107,10 +117,10 @@ def _solver_options(cfg: ExperimentConfig) -> Dict[str, object]:
     return {key: val for key, val in cfg.sections.get("solver", {}).items() if key != "t_end"}
 
 
-def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def cmd_equilibria(cfg: ExperimentConfig, args) -> _Outputs:
     params = cfg.build_kinetics()
     eqs = all_equilibria(params)
-    rows = []
+    header = ("u", "v", "kind", "stability", "trace", "det")
     listing = []
     for eq in eqs:
         if eq.jacobian is not None:
@@ -121,51 +131,22 @@ def cmd_equilibria(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
             )
         else:
             tr = det = None
-        rows.append(
-            (
-                eq.point.u,
-                eq.point.v,
-                eq.kind.value,
-                eq.stability.value,
-                "" if tr is None else tr,
-                "" if det is None else det,
-            )
-        )
-        listing.append(
-            {
-                "u": eq.point.u,
-                "v": eq.point.v,
-                "kind": eq.kind.value,
-                "stability": eq.stability.value,
-                "trace": tr,
-                "det": det,
-            }
-        )
-    _write_csv(
-        out_dir / "equilibria.csv",
-        ("u", "v", "kind", "stability", "trace", "det"),
-        rows,
-    )
+        values = (eq.point.u, eq.point.v, eq.kind.value, eq.stability.value, tr, det)
+        listing.append(dict(zip(header, values)))
     interior = sum(1 for eq in eqs if eq.kind.value == "Interior")
     return {
         "regime": classify_regime(params).tag,
         "count": len(eqs),
         "interior_count": interior,
         "equilibria": listing,
-        "files": ["equilibria.csv"],
-    }
+    }, {"equilibria.csv": (header, [[row[key] for key in header] for row in listing])}
 
 
-def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def cmd_simulate(cfg: ExperimentConfig, args) -> _Outputs:
     params = cfg.build_kinetics() if cfg.kind == "ode" else cfg.build_harvest()
     ic = cfg.build_initial_point()
     t_end = float(cfg.require("solver", "t_end"))
     traj = integrate(params, ic, t_end, IntegrateOptions(**_solver_options(cfg)))
-    _write_csv(
-        out_dir / "trajectory.csv",
-        ("t", "u", "v"),
-        ((t, s.u, s.v) for t, s in traj.samples),
-    )
     terminal: Optional[Dict[str, object]] = None
     if traj.terminal is not None:
         terminal = {
@@ -181,11 +162,10 @@ def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object
         "terminal": terminal,
         "final": {"t": final_t, "u": final_s.u, "v": final_s.v},
         "samples": len(traj.samples),
-        "files": ["trajectory.csv"],
-    }
+    }, {"trajectory.csv": (("t", "u", "v"), ((t, s.u, s.v) for t, s in traj.samples))}
 
 
-def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def cmd_separatrix(cfg: ExperimentConfig, args) -> _Outputs:
     params = cfg.build_kinetics()
     saddles = [
         eq for eq in interior_equilibria(params) if eq.stability is Stability.SADDLE
@@ -195,6 +175,9 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
     saddle = saddles[0]
     delta = float(cfg.get("separatrix", "delta", 1e-6))
     max_back = float(cfg.get("separatrix", "max_backward_time", 200.0))
+    n = int(cfg.get("separatrix", "threshold_samples", 200))
+    if n < 2:
+        raise ConfigError("separatrix.threshold_samples must be at least 2")
     sep = trace_separatrix(
         params, saddle, delta=delta, max_backward_time=max_back, **_solver_options(cfg)
     )
@@ -206,29 +189,19 @@ def cmd_separatrix(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obje
             arc += ((pt.u - prev.u) ** 2 + (pt.v - prev.v) ** 2) ** 0.5
         rows.append((arc, pt.u, pt.v))
         prev = pt
-    _write_csv(out_dir / "separatrix.csv", ("arclength", "u", "v"), rows)
-    files = ["separatrix.csv"]
-    result: Dict[str, object] = {
-        "saddle": {"u": saddle.point.u, "v": saddle.point.v},
-        "points": len(sep.polyline),
-        "files": files,
-    }
+    tables = {"separatrix.csv": (("arclength", "u", "v"), rows)}
     if 0.0 < params.p < 1.0 and params.q == 1.0:
-        n = int(cfg.get("separatrix", "threshold_samples", 200))
-        if n < 2:
-            raise ConfigError("separatrix.threshold_samples must be at least 2")
         u_cap = params.a1 / params.b1
         us = [u_cap * (i + 1) / n for i in range(n)]
-        _write_csv(
-            out_dir / "threshold.csv",
+        tables["threshold.csv"] = (
             ("u0", "v_threshold"),
-            ((u0, fte_threshold(params, u0)) for u0 in us),
+            [(u0, fte_threshold(params, u0)) for u0 in us],
         )
-        files.append("threshold.csv")
-    return result
+    saddle_at = {"u": saddle.point.u, "v": saddle.point.v}
+    return {"saddle": saddle_at, "points": len(sep.polyline)}, tables
 
 
-def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def cmd_pde(cfg: ExperimentConfig, args) -> _Outputs:
     grid = cfg.build_grid()
     params = cfg.build_pde_params(grid)
     init = cfg.build_initial_state(grid)
@@ -238,36 +211,18 @@ def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
     snapshots, outcome = simulate_pde(params, init, t_end, PdeOptions(**opts))
 
     xs = grid.centers()
-    manifest = []
-    files = []
-    for idx, (t, state) in enumerate(snapshots):
-        name = f"snapshot_{idx:03d}.csv"
-        _write_csv(
-            out_dir / name,
-            ("x", "u", "v"),
-            zip(xs, state.u, state.v),
-        )
-        manifest.append({"file": name, "t": t})
-        files.append(name)
-
+    tables = {
+        f"snapshot_{idx:03d}.csv": (("x", "u", "v"), zip(xs, state.u, state.v))
+        for idx, (_, state) in enumerate(snapshots)
+    }
     result: Dict[str, object] = {
-        "outcome": {
-            "label": outcome.label,
-            "t_reached": outcome.t_reached,
-            "fte_u": outcome.fte_u,
-            "fte_v": outcome.fte_v,
-            "fte_u_time": outcome.fte_u_time,
-            "fte_v_time": outcome.fte_v_time,
-            "note": outcome.note,
-        },
-        "snapshots": manifest,
-        "files": files,
+        "outcome": dataclasses.asdict(outcome),
+        "snapshots": [{"file": name, "t": t} for name, (t, _) in zip(tables, snapshots)],
     }
 
     if bool(cfg.get("conditions", "check", False)):
         report = check_recovery_conditions(params.kinetics, init.u, init.v)
-        _write_csv(
-            out_dir / "conditions.csv",
+        tables["conditions.csv"] = (
             ("x", "u0", "v0", "lower", "upper", "cond1", "cond12"),
             zip(
                 xs,
@@ -279,7 +234,6 @@ def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
                 (bool(b) for b in report.cond12),
             ),
         )
-        files.append("conditions.csv")
         result["conditions"] = {
             "u_star": report.u_star,
             "v_star": report.v_star,
@@ -288,16 +242,16 @@ def cmd_pde(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
             "cond123": report.cond123,
             "all_hold": report.all_hold,
         }
-    return result
+    return result, tables
 
 
-def cmd_scan(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def cmd_scan(cfg: ExperimentConfig, args) -> _Outputs:
     if cfg.kind == "ode":
-        return _scan_window(cfg, args, out_dir)
-    return _scan_diffusion(cfg, args, out_dir)
+        return _scan_window(cfg, args)
+    return _scan_diffusion(cfg, args)
 
 
-def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def _scan_diffusion(cfg: ExperimentConfig, args) -> _Outputs:
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)
@@ -330,24 +284,18 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
         ic_offset=float(cfg.get("scan", "ic_offset", 0.01)),
         workers=args.workers,
     )
-    rows = []
-    for i, d1 in enumerate(result.d1_values):
-        for j, d2 in enumerate(result.d2_values):
-            rows.append(
-                (
-                    d1,
-                    d2,
-                    result.labels[i][j],
-                    result.t_reached[i][j],
-                    result.fte_u[i][j],
-                    result.fte_v[i][j],
-                    result.notes[i][j],
-                )
-            )
-    _write_csv(
-        out_dir / "grid.csv",
-        ("d1", "d2", "label", "t_reached", "fte_u", "fte_v", "note"),
-        rows,
+    rows = (
+        (
+            d1,
+            d2,
+            result.labels[i][j],
+            result.t_reached[i][j],
+            result.fte_u[i][j],
+            result.fte_v[i][j],
+            result.notes[i][j],
+        )
+        for i, d1 in enumerate(result.d1_values)
+        for j, d2 in enumerate(result.d2_values)
     )
     counts = {
         label: result.count(label)
@@ -358,11 +306,10 @@ def _scan_diffusion(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, obj
         "resolution": resolution,
         "counts": counts,
         "ic_policy": result.ic_policy,
-        "files": ["grid.csv"],
-    }
+    }, {"grid.csv": (("d1", "d2", "label", "t_reached", "fte_u", "fte_v", "note"), rows)}
 
 
-def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object]:
+def _scan_window(cfg: ExperimentConfig, args) -> _Outputs:
     if args.workers is not None:
         raise ConfigError("--workers applies to a diffusion scan only")
     template = cfg.build_kinetics()
@@ -374,18 +321,14 @@ def _scan_window(cfg: ExperimentConfig, args, out_dir: Path) -> Dict[str, object
         float(cfg.require("scan", "p_exponent")),
         float(cfg.require("scan", "q_exponent")),
     )
-    _write_csv(
-        out_dir / "window.csv",
-        ("c1", "count_p_variant", "count_q_variant", "in_regime"),
-        zip(ws.c1_values, ws.counts_p, ws.counts_q, ws.in_regime),
-    )
+    header = ("c1", "count_p_variant", "count_q_variant", "in_regime")
+    rows = zip(ws.c1_values, ws.counts_p, ws.counts_q, ws.in_regime)
     return {
         "mode": "c1-window",
         "samples": len(ws.c1_values),
         "windows_p": [list(w) for w in ws.windows_p],
         "windows_q": [list(w) for w in ws.windows_q],
-        "files": ["window.csv"],
-    }
+    }, {"window.csv": (header, rows)}
 
 
 _COMMANDS = {
@@ -445,12 +388,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.set:
             cfg = apply_overrides(cfg, args.set)
         _check_reads(cfg, args.command)
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {out_dir}: {exc.strerror}") from None
-        results = _COMMANDS[args.command](cfg, args, out_dir)
+        results, tables = _COMMANDS[args.command](cfg, args)
+        results["files"] = list(tables)
         summary = {
             "command": args.command,
             "version": __version__,
@@ -459,8 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "name": str(cfg.get("run", "name", "")),
             "results": results,
         }
-        with _open_output(out_dir / "summary.json") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _write_outputs(Path(args.out), tables, summary)
         return 0
     except (ConfigError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -550,7 +550,7 @@ class TestErrorPaths:
         message = {"scan_outcome_map": "log axis requires n >= 1",
                    "scan_exponent_window": "samples must be at least 2"}[recipe]
         assert f"error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_x", ["0", "3"])
     def test_a_sweep_grid_below_eight_cells_is_rejected(self, tmp_path, capsys, n_x):
@@ -562,7 +562,7 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "error: grid requires n_x >= 8" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3", "--resolution", "4"]])
     def test_workers_is_rejected_by_a_c1_window_scan(self, tmp_path, capsys, flags):
@@ -572,7 +572,27 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "--workers applies to a diffusion scan only" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, recipe, sets, code, message", [
+        ("separatrix", "separatrix_threshold", ["separatrix.threshold_samples=1"], 2,
+         "threshold_samples must be at least 2"),
+        # at p = 1 no threshold.csv is written, and the samples are still checked
+        ("separatrix", "separatrix_threshold",
+         ["kinetics.p=1", "kinetics.c1=2", "kinetics.c2=2", "separatrix.threshold_samples=1"], 2,
+         "threshold_samples must be at least 2"),
+        ("simulate", "ode_extinction_event", ["solver.max_steps=1"], 3, "max_steps=1 used up"),
+    ])
+    def test_a_refused_or_failed_run_writes_nothing(
+        self, tmp_path, capsys, command, recipe, sets, code, message
+    ):
+        out = tmp_path / "out"
+        args = [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(out)]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_model_kind_for_command(self, tmp_path, capsys):
         # simulate and pde take two kinds each, together all four
@@ -613,7 +633,7 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("profile", ["+".join(["x"] * 1000), "^".join(["x"] * 3000)])
     def test_a_profile_nested_too_deep_is_a_config_error(self, tmp_path, capsys, profile):
@@ -671,3 +691,32 @@ class TestErrorPaths:
                      "--out", str(tmp_path / target)])
         assert code == 2
         assert f"error: cannot write output {tmp_path / target}" in capsys.readouterr().err
+
+
+# The perfbench recipes but the p = 1 slower-diffuser run, which takes seconds.
+SHORT_RECIPES = [
+    ("equilibria", "equilibria_mixed_exponents", []),
+    ("simulate", "harvest_bistability", []),
+    ("simulate", "ode_extinction_event", []),
+    ("separatrix", "separatrix_threshold", []),
+    ("scan", "scan_exponent_window", []),
+    ("pde", "pde_extinction_vs_recovery", []),
+    ("pde", "pde_extinction_vs_recovery", ["kinetics.p=1", "conditions.check=false"]),
+    ("pde", "pde_slower_diffuser", ["resource.p=0.7"]),
+]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, recipe, sets", SHORT_RECIPES)
+    def test_summary_files_are_the_directory(self, tmp_path, command, recipe, sets):
+        out = tmp_path / "out"
+        args = [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(out)]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 0
+        res = read_summary(out)["results"]
+        files = res["files"]
+        assert sorted(files + ["summary.json"]) == sorted(path.name for path in out.iterdir())
+        if command == "pde":
+            snapshots = [snap["file"] for snap in res["snapshots"]]
+            assert snapshots and files[: len(snapshots)] == snapshots
