@@ -12,6 +12,7 @@ output-path errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -31,7 +32,15 @@ from .equilibria import Stability, all_equilibria, interior_equilibria
 from .exceptions import ConfigError, InvalidParameter, NumericalError, NotASaddle
 from .kinetics import classify_regime
 from .ode import IntegrateOptions, fte_threshold, integrate, trace_separatrix
-from .pde import PdeOptions, check_recovery_conditions, simulate_pde
+from .pde import (
+    COEXIST,
+    U_WINS,
+    UNDECIDED,
+    V_WINS,
+    PdeOptions,
+    check_recovery_conditions,
+    simulate_pde,
+)
 from .scan import log_axis, scan_c1_window, scan_diffusion
 
 __all__ = ["main"]
@@ -52,19 +61,33 @@ def _fmt(value: object) -> str:
 
 
 def _write_outputs(out_dir: Path, tables: _Tables, summary: Dict[str, object]) -> None:
-    """The only output writer: a path that cannot be written is a usage error."""
+    """The only output writer: a path that cannot be written is a usage error.
+
+    A failed write removes the files this call opened, and ``out_dir`` if
+    this call created it, so it leaves no partial output.
+    """
+    created = not out_dir.exists()
+    written: List[Path] = []
     path = out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in tables.items():
             path = out_dir / name
             with path.open("w", newline="") as fh:
+                written.append(path)
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 writer.writerows(map(_fmt, row) for row in rows)
         path = out_dir / "summary.json"
-        path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", newline="")
+        with path.open("w", newline="") as fh:
+            written.append(path)
+            fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            for done in written:
+                done.unlink()
+            if created:
+                out_dir.rmdir()
         raise ConfigError(f"cannot write output {path}: {exc.strerror}") from None
 
 
@@ -297,10 +320,7 @@ def _scan_diffusion(cfg: ExperimentConfig, args) -> _Outputs:
         for i, d1 in enumerate(result.d1_values)
         for j, d2 in enumerate(result.d2_values)
     )
-    counts = {
-        label: result.count(label)
-        for label in ("UWins", "VWins", "Coexist", "Undecided")
-    }
+    counts = {label: result.count(label) for label in (U_WINS, V_WINS, COEXIST, UNDECIDED)}
     return {
         "mode": "diffusion",
         "resolution": resolution,

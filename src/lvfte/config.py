@@ -237,13 +237,11 @@ class ExperimentConfig:
 
     def build_pde_params(
         self,
-        grid: Optional[Grid1D] = None,
+        grid: Grid1D,
         d1: Optional[float] = None,
         d2: Optional[float] = None,
     ) -> PdeParams:
         kind = self.kind
-        if grid is None:
-            grid = self.build_grid()
         d1 = float(d1 if d1 is not None else self.require("domain", "d1"))
         d2 = float(d2 if d2 is not None else self.require("domain", "d2"))
         if kind == "pde-const":

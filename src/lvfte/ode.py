@@ -184,10 +184,6 @@ class Trajectory:
         return [t for t, _ in self.samples]
 
     @property
-    def states(self) -> List[State2]:
-        return [s for _, s in self.samples]
-
-    @property
     def final_state(self) -> State2:
         return self.samples[-1][1]
 

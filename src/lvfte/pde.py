@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -310,32 +310,26 @@ def cho_solve_banded(cb_and_lower: Tuple[np.ndarray, bool], b: np.ndarray) -> np
     return x
 
 
-class _ImplicitDiffusion:
-    """Backward-Euler diffusion step: solves (I - h d_k L) w_k = b_k.
+def _diffusion_factor(n: int, dx: float, ds: Sequence[float], h: float) -> Tuple[np.ndarray, bool]:
+    """Factor of the backward-Euler diffusion step (I - h d_k L) w_k = b_k.
 
     One block per diffusivity in ``ds``; block k of a flat field of length
     len(ds) * n, its points k*n to (k+1)*n - 1, diffuses with ``ds[k]``.
     The block-diagonal matrix is symmetric positive definite (diagonally
-    dominant), so one banded Cholesky factorisation is computed once and
-    reused.  The coupling entry between blocks is zero, so the joint factor
-    and solve give bit for bit what separate per-block factors and solves
-    give.
+    dominant), so its banded Cholesky factor, passed to ``cho_solve_banded``
+    with the field, serves every step of that size.  The coupling entry
+    between blocks is zero, so the joint factor and solve give bit for bit
+    what separate per-block factors and solves give.
     """
-
-    def __init__(self, n: int, dx: float, ds: Sequence[float], h: float) -> None:
-        ab = np.zeros((2, n * len(ds)))
-        for k, d in enumerate(ds):
-            r = d * h / (dx * dx)
-            lo, hi = k * n, (k + 1) * n
-            ab[1, lo:hi] = 1.0 + 2.0 * r
-            ab[1, lo] = 1.0 + r
-            ab[1, hi - 1] = 1.0 + r
-            ab[0, lo + 1 : hi] = -r
-        self._factor = (cholesky_banded(ab), False)
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """Solve for a flat field of length len(ds) * n; returns a new array."""
-        return cho_solve_banded(self._factor, w)
+    ab = np.zeros((2, n * len(ds)))
+    for k, d in enumerate(ds):
+        r = d * h / (dx * dx)
+        lo, hi = k * n, (k + 1) * n
+        ab[1, lo:hi] = 1.0 + 2.0 * r
+        ab[1, lo] = 1.0 + r
+        ab[1, hi - 1] = 1.0 + r
+        ab[0, lo + 1 : hi] = -r
+    return cholesky_banded(ab), False
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,11 +448,11 @@ def _steady_state(d: float, grid: Grid1D, resource: bytes) -> np.ndarray:
     dt_cap = min(1.0, 1.0 / float(vals.max()))
     dt = dt_cap / 4.0
     w = np.full(n, float(vals.mean()) + 0.1)
-    solver = _ImplicitDiffusion(n, dx, (d,), dt)
+    factor = _diffusion_factor(n, dx, (d,), dt)
     t = 0.0
     step = 0
     while t < STEADY_T_MAX:
-        w_new = solver.apply(w + dt * (vals * w - w * w))
+        w_new = cho_solve_banded(factor, w + dt * (vals * w - w * w))
         rate = float(np.max(np.abs(w_new - w))) / dt
         w = np.maximum(w_new, 0.0)
         t += dt
@@ -470,39 +464,21 @@ def _steady_state(d: float, grid: Grid1D, resource: bytes) -> np.ndarray:
             return w
         if step % 64 == 0 and dt < dt_cap:
             dt = min(dt_cap, dt * 1.5)
-            solver = _ImplicitDiffusion(n, dx, (d,), dt)
+            factor = _diffusion_factor(n, dx, (d,), dt)
     raise NonConvergence(
         f"single-species steady state not reached by t={STEADY_T_MAX:g} (rate {rate:.3e})"
     )
 
 
-class _ReferenceCache:
-    """Lazy single-survivor reference profiles for exclusion verdicts.
+def _reference(rec: _Kinetics, d: float, k: int) -> np.ndarray:
+    """Row k's single-survivor profile for exclusion verdicts.
 
-    ``ref(k)`` is row k's profile: the record's closed form, else the
-    single-species steady state of the record's resource at diffusivity
-    ``ds[k]``.  A march that fails sets ``note`` and is not retried.
+    The record's closed form, else the single-species steady state of the
+    record's resource at row k's diffusivity ``d``.
     """
-
-    def __init__(self, rec: _Kinetics, ds: Tuple[float, float]) -> None:
-        self._rec = rec
-        self._ds = ds
-        self._refs: List[Optional[np.ndarray]] = [None, None]
-        self._failed = [False, False]
-        self.note = ""
-
-    def ref(self, k: int) -> Optional[np.ndarray]:
-        if self._refs[k] is None and not self._failed[k]:
-            survivors = self._rec.survivors
-            if not isinstance(survivors, ResourceField):
-                self._refs[k] = survivors[k]
-            else:
-                try:
-                    self._refs[k] = single_species_steady_state(self._ds[k], survivors)
-                except (NonConvergence, InvalidParameter) as exc:
-                    self.note = f"reference profile unavailable: {exc}"
-                    self._failed[k] = True
-        return self._refs[k]
+    if isinstance(rec.survivors, ResourceField):
+        return single_species_steady_state(d, rec.survivors)
+    return rec.survivors[k]
 
 
 def _default_dt(rec: _Kinetics) -> float:
@@ -602,18 +578,21 @@ def simulate_pde(
     react = _make_reaction(rec)
     clampable = (rec.p < 1.0, rec.q < 1.0)
     diffusivities = (params.d1, params.d2)
-    refs = _ReferenceCache(rec, diffusivities)
-
     dt = opts.dt if opts.dt is not None else _default_dt(rec)
+    # One factor per step size, built on its first use.
+    factor = functools.lru_cache(maxsize=None)(
+        functools.partial(_diffusion_factor, n, dx, diffusivities))
+    ref_note = ""
 
-    solvers: Dict[float, _ImplicitDiffusion] = {}
-
-    def get_solver(h_eff: float) -> _ImplicitDiffusion:
-        solver = solvers.get(h_eff)
-        if solver is None:
-            solver = _ImplicitDiffusion(n, dx, diffusivities, h_eff)
-            solvers[h_eff] = solver
-        return solver
+    @functools.lru_cache(maxsize=None)
+    def reference(k: int) -> Optional[np.ndarray]:
+        """Row k's profile, built once; a march that fails sets ref_note."""
+        nonlocal ref_note
+        try:
+            return _reference(rec, diffusivities[k], k)
+        except (NonConvergence, InvalidParameter) as exc:
+            ref_note = f"reference profile unavailable: {exc}"
+            return None
 
     snapshots: List[Tuple[float, PdeState]] = [(0.0, PdeState(grid, w[:n], w[n:]))]
     # First time each clampable row is zero everywhere.
@@ -652,7 +631,7 @@ def simulate_pde(
     def classify_now(rate: float) -> Optional[str]:
         for k, wins in ((0, U_WINS), (1, V_WINS)):
             if float(w[rows[1 - k]].max()) < TOL_OUT:
-                ref = refs.ref(k)
+                ref = reference(k)
                 if ref is not None and float(np.max(np.abs(w[rows[k]] - ref))) < TOL_OUT:
                     return wins
         # both fields above TOL_POS everywhere
@@ -679,10 +658,10 @@ def simulate_pde(
             elif imex_tail and low > 10.0 * TAIL_THRESHOLD:
                 imex_tail = False
             if imex_tail:
-                w = get_solver(h).apply(w + h * react(w, dead))
+                w = cho_solve_banded(factor(h), w + h * react(w, dead))
             else:
-                half = get_solver(0.5 * h)
-                w = half.apply(_rk4_reaction(react, half.apply(w), h))
+                half = factor(0.5 * h)
+                w = cho_solve_banded(half, _rk4_reaction(react, cho_solve_banded(half, w), h))
             steps += 1
             if not math.isfinite(float(w.sum())):
                 w = w_prev
@@ -710,8 +689,8 @@ def simulate_pde(
         label = UNDECIDED
         if not note:
             note = f"no verdict by t={t:g}"
-            if refs.note:
-                note += f"; {refs.note}"
+            if ref_note:
+                note += f"; {ref_note}"
     if snapshots[-1][0] != t:
         snapshots.append((t, PdeState(grid, w[:n], w[n:])))
 

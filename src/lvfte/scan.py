@@ -118,7 +118,7 @@ def scan_diffusion(
     t_end: float,
     *,
     grid: Optional[Grid1D] = None,
-    options: Optional[PdeOptions] = None,
+    options: PdeOptions,
     ic_offset: float = 0.01,
     workers: Optional[int] = None,
 ) -> OutcomeGrid:
@@ -143,8 +143,6 @@ def scan_diffusion(
         raise InvalidParameter("a grid is required for constant-kinetics templates")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise InvalidParameter("t_end must be positive and finite")
-    if options is None:
-        options = PdeOptions(check_interval=max(1.0, t_end / 4096.0))
     options.validate()  # once for the sweep, not as an Undecided note per cell
 
     init = initial_state_for_policy(template, grid, ic_offset)

@@ -691,6 +691,26 @@ class TestErrorPaths:
                      "--out", str(tmp_path / target)])
         assert code == 2
         assert f"error: cannot write output {tmp_path / target}" in capsys.readouterr().err
+        # dir-with-summary writes equilibria.csv before summary.json fails: no partial output
+        assert not (tmp_path / target / "equilibria.csv").is_file()
+        assert (tmp_path / "dir-with-csv" / "equilibria.csv").is_dir()
+        assert (tmp_path / "dir-with-summary" / "summary.json").is_dir()
+
+    def test_a_failed_write_removes_the_out_it_created(self, tmp_path, capsys, monkeypatch):
+        real_open = Path.open
+
+        def full_disk(self, *args, **kwargs):
+            if self.name == "summary.json":
+                raise OSError(28, "No space left on device")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk)
+        out = tmp_path / "new" / "out"
+        code = main(["equilibria", "--config", str(CONFIGS / "equilibria_mixed_exponents.ini"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # The perfbench recipes but the p = 1 slower-diffuser run, which takes seconds.

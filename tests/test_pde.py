@@ -328,9 +328,11 @@ def two_field_reference(params, init, t_end, opts):
     (1e-4, 1e-4, 1e-7), clamp level (1e-10), dt floor (1e-12) and tail
     threshold (1e-6) are literals, so it shares none of that set-up with
     simulate_pde and a changed module constant fails the cases below.
-    Returns (snapshots, outcome, entered_imex_tail, dt_halvings, deaths),
-    where ``deaths`` maps "u" / "v" to the step that first left the field
-    zero everywhere: "start" (the clamp at t = 0), "rk4" or "tail".
+    Returns (snapshots, outcome, entered_imex_tail, tail_exits, dt_halvings,
+    deaths), where ``tail_exits`` counts the steps that switch from the IMEX
+    tail back to splitting, and ``deaths`` maps "u" / "v" to the step that
+    first left the field zero everywhere: "start" (the clamp at t = 0),
+    "rk4" or "tail".
     """
     grid = init.grid
     n, dx = grid.n_x, grid.dx
@@ -386,7 +388,7 @@ def two_field_reference(params, init, t_end, opts):
     snapshots = [(0.0, PdeState(grid, u, v))]
     fte = {"u": None, "v": None}
     label, note, t, steps = None, "", 0.0, 0
-    entered_tail, halvings, deaths = False, 0, {}
+    entered_tail, tail_exits, halvings, deaths = False, 0, 0, {}
 
     def clamp(t_now, mode):
         np.maximum(u, 0.0, out=u)
@@ -430,6 +432,7 @@ def two_field_reference(params, init, t_end, opts):
                 tail = entered_tail = True
             elif tail and low > 10.0 * 1e-6:
                 tail = False
+                tail_exits += 1
             if tail:
                 fu, fv = react(u, v)
                 u = solve(params.d1, h, u + h * fu)
@@ -481,11 +484,15 @@ def two_field_reference(params, init, t_end, opts):
         fte_v_time=fte["v"],
         note=note,
     )
-    return snapshots, outcome, entered_tail, halvings, deaths
+    return snapshots, outcome, entered_tail, tail_exits, halvings, deaths
 
 
 def _stacked_cases():
     """(name, params, init, t_end, opts, expect_tail, expect_halving, deaths).
+
+    ``expect_tail`` is whether the reference enters the IMEX tail, or
+    "exits" when it also switches back to splitting; None leaves it
+    unchecked.
 
     ``deaths`` is the reference's map of the rows that reach zero everywhere
     to the step that got them there ("start", "rk4" or "tail"), so each FTE
@@ -550,6 +557,12 @@ def _stacked_cases():
          PdeState(g32, np.where(x32 < 0.1, 1e20, 0.5), np.full(32, 0.5)), 20.0,
          PdeOptions(dt=1.0, check_interval=5.0, snapshot_times=(0.3,)),
          True, True, {}),
+        # v starts below the tail threshold, so the run starts in the IMEX
+        # tail; v grows (weak competition) and the run leaves the tail near
+        # t = 9.5, then coexists at the check at t = 100
+        ("const-tail-exit", PdeParams(0.01, 0.02, kinetics=KineticParams(1, 1, 1, 1, 0.5, 0.5)),
+         PdeState(Grid1D(0.0, 1.0, 16), np.ones(16), np.full(16, 1e-7)), 200.0,
+         PdeOptions(dt=0.1, check_interval=100.0), "exits", False, {}),
     ]
     rng = np.random.default_rng(11)
     seeded = (
@@ -587,12 +600,13 @@ def test_stacked_stepper_matches_two_field_reference(
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing attempts
-        ref_snaps, ref_outcome, entered_tail, halvings, ref_deaths = two_field_reference(
-            params, init, t_end, opts
+        ref_snaps, ref_outcome, entered_tail, tail_exits, halvings, ref_deaths = (
+            two_field_reference(params, init, t_end, opts)
         )
         snaps, outcome = simulate_pde(params, init, t_end, opts)
     if expect_tail is not None:
-        assert entered_tail == expect_tail
+        assert entered_tail == bool(expect_tail)
+        assert (tail_exits > 0) == (expect_tail == "exits")
     assert (halvings > 0) == expect_halving
     assert ref_deaths == deaths
     assert (outcome.fte_u, outcome.fte_v) == ("u" in deaths, "v" in deaths)
@@ -669,9 +683,8 @@ def test_resolved_record_matches_the_per_flavour_formulas(name, params):
         survivors = tuple(single_species_steady_state(d, params.m) for d in (params.d1, params.d2))
     assert (rec.p < 1.0, rec.q < 1.0) == clampable
     assert repr(lvfte_pde._default_dt(rec)) == repr(dt)
-    refs = lvfte_pde._ReferenceCache(rec, (params.d1, params.d2))
-    for k in (0, 1):
-        assert refs.ref(k).tobytes() == survivors[k].tobytes()
+    for k, d in enumerate((params.d1, params.d2)):
+        assert lvfte_pde._reference(rec, d, k).tobytes() == survivors[k].tobytes()
     state = initial_state_for_policy(params, g, offset)
     assert state.u.tobytes() == state.v.tobytes() == half.tobytes()
 
@@ -770,9 +783,10 @@ def test_joint_block_factor_equals_separate_factors():
     n, dx, h = 64, 1.0 / 64, 0.25
     ds = (3.98e-3, 3.98e-2)
     rhs = np.random.default_rng(3).uniform(0.0, 1.0, (2, n))
-    joint = lvfte_pde._ImplicitDiffusion(n, dx, ds, h).apply(rhs.reshape(-1))
+    joint = lvfte_pde.cho_solve_banded(lvfte_pde._diffusion_factor(n, dx, ds, h), rhs.reshape(-1))
     for k, d in enumerate(ds):
-        alone = lvfte_pde._ImplicitDiffusion(n, dx, (d,), h).apply(rhs[k].copy())
+        alone = lvfte_pde.cho_solve_banded(lvfte_pde._diffusion_factor(n, dx, (d,), h),
+                                           rhs[k].copy())
         assert joint[k * n : (k + 1) * n].tobytes() == alone.tobytes()
 
 
@@ -845,16 +859,15 @@ def test_every_factorisation_and_solve_goes_through_the_module_names(monkeypatch
                  PdeOptions(dt=0.5))
     assert calls == {"factor": 1, "solve": 40}
 
-    # the steady-state march: one factor per _ImplicitDiffusion, one solve per apply
-    monkeypatch.setattr(lvfte_pde._ImplicitDiffusion, "__init__",
-                        counted("built", lvfte_pde._ImplicitDiffusion.__init__))
-    monkeypatch.setattr(lvfte_pde._ImplicitDiffusion, "apply",
-                        counted("applied", lvfte_pde._ImplicitDiffusion.apply))
-    calls.update(factor=0, solve=0, built=0, applied=0)
+    # the steady-state march: one factor per _diffusion_factor call, and more
+    # than one (dt grows every 64 steps)
+    monkeypatch.setattr(lvfte_pde, "_diffusion_factor",
+                        counted("built", lvfte_pde._diffusion_factor))
+    calls.update(factor=0, solve=0, built=0)
     lvfte_pde._steady_state.cache_clear()
     single_species_steady_state(2.5e-3, logistic_resource(Grid1D(0.0, 1.0, 64)))
     assert calls["factor"] == calls["built"] > 1
-    assert calls["solve"] == calls["applied"] > 64
+    assert calls["solve"] > 64
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,10 @@ class TestScanDiffusion:
 
     def test_scan_validation(self):
         with pytest.raises(InvalidParameter):
-            scan_diffusion(const_template(), (), (1e-3,), 10.0, workers=1)
+            scan_diffusion(const_template(), (), (1e-3,), 10.0, options=PdeOptions(), workers=1)
         with pytest.raises(InvalidParameter):
-            scan_diffusion(const_template(), (1e-3,), (1e-3,), -1.0, workers=1)
+            scan_diffusion(const_template(), (1e-3,), (1e-3,), -1.0, options=PdeOptions(),
+                           workers=1)
 
 
 class TestScanC1Window:
