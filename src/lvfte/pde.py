@@ -363,26 +363,17 @@ def _resolve(params: PdeParams, n: int) -> _Kinetics:
     return _Kinetics(growth, crowding, kin.c1, kin.c2, kin.p, kin.q, growth / crowding)
 
 
-# Reaction on the flat field w = (u, v) of length 2 n, given the rows (0 for
-# u, 1 for v) that are dead (zero everywhere after a finite-time extinction).
-Reaction = Callable[..., np.ndarray]
-
-
-def _make_reaction(rec: _Kinetics) -> Reaction:
+def _make_reaction(rec: _Kinetics) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorised reaction term d(u, v)/dt of a resolved record.
 
-    Every entry is computed with the same floating-point operations, in the
-    same order, as the per-species formulas
+    The returned function maps the flat field w = (u, v), length 2 n, to
+    its reaction.  Every entry is computed with the same floating-point
+    operations, in the same order, as the per-species formulas
     du = u (g_u - k_u u) - c_u u^p v and dv = v (g_v - k_v v) - c_v u v^q.
     The run's record picks the fewest numpy calls that keep those bits:
     unit crowding drops the product k w (1.0 * w == w bit for bit), and
     p = q = 1 computes both cross terms as one broadcast (c u) v with c the
     column (c_u, c_v) (u^1 is u itself, as ``safe_pow_arr`` returns it).
-
-    ``react(w, dead)`` returns +0.0 on the rows in ``dead`` and skips both
-    cross terms.  That is exact for a field whose dead rows are +0.0 and
-    whose other entries are >= +0 (as after the clamp): the other row's
-    cross term is then exactly +0, and x - (+0) == x.
     """
     n = rec.growth.shape[1]
     growth = rec.growth.reshape(-1)
@@ -390,12 +381,8 @@ def _make_reaction(rec: _Kinetics) -> Reaction:
     c_u, c_v, p, q = rec.c_u, rec.c_v, rec.p, rec.q
     coef = np.array([[c_u], [c_v]]) if p == q == 1.0 else None
 
-    def react(w: np.ndarray, dead: Sequence[int] = ()) -> np.ndarray:
+    def react(w: np.ndarray) -> np.ndarray:
         out = w * (growth - w) if crowding is None else w * (growth - crowding * w)
-        if dead:
-            for k in dead:
-                out[k * n : (k + 1) * n] = 0.0
-            return out
         u, v = w[:n], w[n:]
         if coef is not None:
             out -= ((coef * u) * v).ravel()
@@ -407,7 +394,7 @@ def _make_reaction(rec: _Kinetics) -> Reaction:
     return react
 
 
-def _rk4_reaction(react: Reaction, w: np.ndarray, h: float) -> np.ndarray:
+def _rk4_reaction(react: Callable[[np.ndarray], np.ndarray], w: np.ndarray, h: float) -> np.ndarray:
     k1 = react(w)
     k2 = react(w + 0.5 * h * k1)
     k3 = react(w + 0.5 * h * k2)
@@ -523,13 +510,15 @@ def simulate_pde(
 ) -> Tuple[List[Tuple[float, PdeState]], PdeOutcome]:
     """Integrate the two-species system to t_end or its first verdict.
 
-    Returns (snapshots, outcome).  Snapshots always include the initial and
-    final states plus any requested interior times.  The verdict logic runs
-    at the checks (every ``check_interval``) and at t_end only; a snapshot
-    time stops the stepper to record the state but does not classify:
+    Returns (snapshots, outcome).  Snapshots hold the initial and final
+    states and the requested times before the verdict.  Verdicts are taken
+    at the checks (every ``check_interval``) and at t_end only, not at
+    snapshot times; the clock is set to each such time as the stepper
+    reaches it, so a check verdict's ``t_reached`` is the check time:
 
-    * UWins  -- sup v < TOL_OUT and sup|u - u_ref| < TOL_OUT, where u_ref
-      is u's single-survivor profile,
+    * UWins  -- sup v < TOL_OUT, and no larger than before the last step,
+      and sup|u - u_ref| < TOL_OUT, where u_ref is u's single-survivor
+      profile,
     * VWins  -- mirror image,
     * Coexist -- both fields exceed TOL_POS everywhere and the discrete
       time derivative of the computed solution, sup|w(t+dt) - w(t)| / dt
@@ -538,19 +527,22 @@ def simulate_pde(
     * Undecided -- none of the above by t_end (or when the step budget is
       exhausted), with a note.
 
+    A run also ends on the step where a clampable field first reaches zero
+    everywhere (the clamp at t = 0 included).  ``t_reached`` and
+    ``fte_u_time`` / ``fte_v_time`` are the end of that step, accurate to
+    the step.  The field stays zero, and the other obeys the single-species
+    logistic equation, whose positive steady state attracts every
+    non-negative, non-zero start when its growth row is positive somewhere
+    (Cantrell & Cosner 2003, ch. 2-3).  So the other species wins if both
+    it and its growth row are positive somewhere; otherwise the run ends
+    Undecided with a note naming the extinction.
+
     Stepping is symmetric splitting (implicit diffusion half steps around
     an RK4 reaction step) while both species are active.  Once either
     field's sup norm falls below TAIL_THRESHOLD the stepper switches to
     an implicit-diffusion / explicit-reaction step whose fixed points solve
     the discrete steady equations exactly, so a lone survivor relaxes onto
     the same profile the steady reference uses, free of splitting bias.
-
-    ``fte_u_time`` / ``fte_v_time`` are the end of the step in which the
-    field first reaches zero everywhere, so they are accurate to the step.
-    From then on that row is dead: it is held at +0.0, its reaction and the
-    other row's cross term are not computed in the IMEX tail or the clamp
-    (both are exactly zero there), and the tail test takes 0 as its sup
-    norm, so the run stays in the tail.  This changes no computed value.
 
     A non-finite step is retried with half the time step; below DT_MIN
     this raises CflViolation.  Non-finite initial data raises
@@ -595,42 +587,43 @@ def simulate_pde(
             return None
 
     snapshots: List[Tuple[float, PdeState]] = [(0.0, PdeState(grid, w[:n], w[n:]))]
-    # First time each clampable row is zero everywhere.
+    # FTE time of each clampable row; the run ends at the first one.
     fte_time: List[Optional[float]] = [None, None]
     label: Optional[str] = None
     note = ""
     t = 0.0
     steps = 0
+    clamp_rows = [k for k in (0, 1) if clampable[k]]
+    clamp_mask = np.repeat(clampable, n)
 
-    # A clampable row is dead from its FTE time on: it is +0.0 everywhere
-    # then and stays +-0 through every solve and reaction, so the clamp
-    # writes +0.0 to it instead of testing it; only the live clampable rows
-    # go through the mask.
-    dead: List[int] = []
-    live = [k for k in (0, 1) if clampable[k]]
-    live_mask = np.repeat(clampable, n)
-
-    def apply_clamp(t_now: float) -> None:
+    def apply_clamp(t_now: float) -> Optional[int]:
+        """Clamp w; return the first row that is now zero everywhere."""
         np.maximum(w, 0.0, out=w)
-        for k in dead:
-            w[rows[k]] = 0.0
-        if not live:
-            return
+        if not clamp_rows:
+            return None
         low = w < EPS_EXT
-        low &= live_mask
+        low &= clamp_mask
         if low.any():
-            low &= react(w, dead) <= 0.0
+            low &= react(w) <= 0.0
             w[low] = 0.0
-        for k in tuple(live):
-            if not w[rows[k]].any():
-                fte_time[k] = t_now
-                live.remove(k)
-                live_mask[rows[k]] = False
-                dead.append(k)
+        died = [k for k in clamp_rows if not w[rows[k]].any()]
+        for k in died:
+            fte_time[k] = t_now
+        return died[0] if died else None
+
+    def extinction_verdict(k: int) -> Tuple[str, str]:
+        """Label and note of a run that ends at row k's FTE time t."""
+        j = 1 - k
+        if w[rows[j]].any() and rec.growth[j].max() > 0.0:
+            return (U_WINS, V_WINS)[j], ""
+        fate = "has no positive steady state" if w[rows[j]].any() else "is zero everywhere"
+        return UNDECIDED, f"{'uv'[k]} extinct at t={t:g} and {'uv'[j]} {fate}"
 
     def classify_now(rate: float) -> Optional[str]:
         for k, wins in ((0, U_WINS), (1, V_WINS)):
-            if float(w[rows[1 - k]].max()) < TOL_OUT:
+            loser = float(w[rows[1 - k]].max())
+            # excluded, and not growing on the step whose rate is read
+            if loser < TOL_OUT and loser <= float(w_before[rows[1 - k]].max()):
                 ref = reference(k)
                 if ref is not None and float(np.max(np.abs(w[rows[k]] - ref))) < TOL_OUT:
                     return wins
@@ -639,26 +632,26 @@ def simulate_pde(
             return COEXIST
         return None
 
-    apply_clamp(0.0)
+    died = apply_clamp(0.0)
     last_rate = math.inf
+    w_before = w  # the field before the last step of a check
     budget_hit = False
     imex_tail = False
     for target, is_snapshot, is_check in _targets(t_end, opts):
         slack = 1e-12 * max(1.0, target)
-        while target - t > slack:
+        while died is None and target - t > slack:
             if steps >= opts.max_steps:
                 budget_hit = True
                 break
             h = min(dt, target - t)
             w_prev = w
-            # The smaller row sup norm; a dead row's is 0, which is the minimum.
-            low = 0.0 if dead else min(np.maximum.reduceat(w, row_starts))
+            low = min(np.maximum.reduceat(w, row_starts))  # the smaller row sup norm
             if not imex_tail and low < TAIL_THRESHOLD:
                 imex_tail = True
             elif imex_tail and low > 10.0 * TAIL_THRESHOLD:
                 imex_tail = False
             if imex_tail:
-                w = cho_solve_banded(factor(h), w + h * react(w, dead))
+                w = cho_solve_banded(factor(h), w + h * react(w))
             else:
                 half = factor(0.5 * h)
                 w = cho_solve_banded(half, _rk4_reaction(react, cho_solve_banded(half, w), h))
@@ -671,10 +664,14 @@ def simulate_pde(
                         f"time step underflow at t={t:g} (dt={dt:.3e})"
                     )
                 continue
-            t += h
-            apply_clamp(t)
-            if target - t <= slack:  # the last step: classify_now reads its rate
-                last_rate = float(np.abs(w - w_prev).max()) / h
+            last = target - (t + h) <= slack  # the clock lands on the target
+            t = target if last else t + h
+            died = apply_clamp(t)
+            if last:  # classify_now reads the last step's rate and start
+                last_rate, w_before = float(np.abs(w - w_prev).max()) / h, w_prev
+        if died is not None:
+            label, note = extinction_verdict(died)
+            break
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break

@@ -299,7 +299,10 @@ class TestPdeCommand:
         assert cond["v_star"] == pytest.approx(0.8571428571, abs=1e-8)
         names = [s["file"] for s in res["snapshots"]]
         assert names[0] == "snapshot_000.csv"
-        assert len(names) == 4  # t=0, both requested times, final
+        # t = 0 and the final state at u's extinction (t = 0.23); the requested
+        # times 2 and 8 come after the verdict and are not written
+        assert len(names) == 2
+        assert res["outcome"]["t_reached"] == res["outcome"]["fte_u_time"]
         rows = read_csv(out / "snapshot_000.csv")
         assert rows[0] == ["x", "u", "v"]
         assert len(rows) == 129

@@ -39,6 +39,9 @@ WEAK = KineticParams(a1=1, b1=1, c1=0.3, a2=2, b2=1, c2=1.8)
 RECOVERY = KineticParams(a1=1.1, b1=1, c1=1.2, a2=1, b2=1, c2=2, p=0.1, q=1.0)
 
 
+AXIS = np.geomspace(1e-4, 1e-1, 16)  # the criterion 6 diffusivity axis
+
+
 def logistic_resource(grid):
     x = grid.centers()
     return ResourceField(grid, x * (1.0 - x))
@@ -224,9 +227,55 @@ class TestSimulatePde:
         opts = PdeOptions(dt=0.02, snapshot_times=snapshot_times, check_interval=10.0)
         snapshots, outcome = simulate_pde(PdeParams(0.05, 0.01, kinetics=WEAK), init, 300.0, opts)
         assert outcome.label == COEXIST
-        assert abs(outcome.t_reached - 90.0) < 1e-6
+        assert outcome.t_reached == 90.0  # the clock lands on the check, not 90 - 5e-12
         for t_snap in snapshot_times:
             assert min(abs(t - t_snap) for t, _ in snapshots) < 1e-6
+
+    def test_a_growing_loser_is_not_excluded(self):
+        # weak competition: v invades u = 1 at rate +0.5, so at the first
+        # check (t = 5) sup v is 1.1e-6 and growing; v reaches 0.2 by t = 30
+        g = Grid1D(0.0, 1.0, 16)
+        params = PdeParams(0.01, 0.02, kinetics=KineticParams(1, 1, 1, 1, 0.5, 0.5))
+        init = PdeState(g, np.ones(16), np.full(16, 1e-7))
+        _, outcome = simulate_pde(params, init, 60.0, PdeOptions(dt=0.1))
+        assert outcome.label == UNDECIDED
+        assert outcome.t_reached == 60.0
+        assert outcome.note == "no verdict by t=60"
+
+    def test_run_ends_at_the_first_extinction(self):
+        # every p = 0.7 criterion 6 cell: u dies between t = 20 and 39, and
+        # v, positive on a positive resource, wins at that step
+        g = Grid1D(0.0, 1.0, 64)
+        m = logistic_resource(g)
+        half = m.values / 2.0 + 0.01
+        opts = PdeOptions(dt=0.5, check_interval=100.0, max_steps=200_000)
+        for d1 in AXIS:
+            for d2 in AXIS:
+                params = PdeParams(d1, d2, b=0.999, c=0.999, p=0.7, m=m)
+                snaps, outcome = simulate_pde(params, PdeState(g, half, half), 60000.0, opts)
+                assert (outcome.label, outcome.fte_u, outcome.fte_v) == (V_WINS, True, False)
+                assert outcome.t_reached == outcome.fte_u_time < 40.0
+                assert [t for t, _ in snaps] == [0.0, outcome.t_reached]
+                assert not snaps[-1][1].u.any() and snaps[-1][1].v.all()
+
+    @pytest.mark.parametrize(
+        "v0, resource, note",
+        [
+            (0.0, 1.0, "u extinct at t=0 and v is zero everywhere"),
+            (0.5, 0.0, "u extinct at t=0.5 and v has no positive steady state"),
+        ],
+    )
+    def test_extinction_without_a_survivor_is_undecided(self, v0, resource, note):
+        # the rule needs the other species present and a resource positive
+        # somewhere; u starts at zero, or dies with m = 0 everywhere
+        g = Grid1D(0.0, 1.0, 16)
+        m = ResourceField(g, np.full(16, resource))
+        u0 = np.zeros(16) if v0 == 0.0 else np.full(16, 0.01)
+        params = PdeParams(0.01, 0.02, b=1.0, c=1.0, p=0.5, m=m)
+        _, outcome = simulate_pde(params, PdeState(g, u0, np.full(16, v0)), 100.0,
+                                  PdeOptions(dt=0.5))
+        assert (outcome.label, outcome.note) == (UNDECIDED, note)
+        assert outcome.fte_u and outcome.t_reached == outcome.fte_u_time
 
     def test_budget_exhaustion_is_reported(self):
         g = Grid1D(0.0, 1.0, 32)
@@ -319,10 +368,14 @@ def two_field_reference(params, init, t_end, opts):
     """simulate_pde as a two-field stepper: one scipy solve per species.
 
     This is the stepper simulate_pde used before u and v were stacked into
-    one field, kept as the bit-for-bit reference.  It has two changes:
+    one field, kept as the bit-for-bit reference.  It has these changes:
     ``check_finite=False`` on the solves, so that a non-finite step reaches
-    the dt-halving rule instead of raising ValueError inside scipy, and
-    verdicts taken at the checks and t_end only, not at snapshot times.
+    the dt-halving rule instead of raising ValueError inside scipy;
+    verdicts taken at the checks and t_end only, not at snapshot times; the
+    clock set to each check or snapshot time when a step reaches it; no
+    exclusion verdict while the loser's sup norm grew on the last step; and
+    the run ended at the first finite-time extinction, the other species
+    winning if it and its growth rate are positive somewhere.
     Its clamp flags, default ``dt`` and survivor profiles are the
     per-flavour formulas written out here, and its verdict tolerances
     (1e-4, 1e-4, 1e-7), clamp level (1e-10), dt floor (1e-12) and tail
@@ -331,8 +384,8 @@ def two_field_reference(params, init, t_end, opts):
     Returns (snapshots, outcome, entered_imex_tail, tail_exits, dt_halvings,
     deaths), where ``tail_exits`` counts the steps that switch from the IMEX
     tail back to splitting, and ``deaths`` maps "u" / "v" to the step that
-    first left the field zero everywhere: "start" (the clamp at t = 0),
-    "rk4" or "tail".
+    left the field zero everywhere and so ended the run: "start" (the clamp
+    at t = 0), "rk4" or "tail".
     """
     grid = init.grid
     n, dx = grid.n_x, grid.dx
@@ -342,9 +395,11 @@ def two_field_reference(params, init, t_end, opts):
     if kin is not None:
         clamp_u, clamp_v = kin.p < 1.0, kin.q < 1.0
         rate_max = max(kin.a1, kin.a2, kin.c1, kin.c2)
+        grows = {"u": kin.a1 > 0.0, "v": kin.a2 > 0.0}
     else:
         clamp_u, clamp_v = params.p < 1.0, False
         rate_max = max(float(params.m.values.max()), params.b, params.c, 1e-6)
+        grows = dict.fromkeys("uv", float(params.m.values.max()) > 0.0)
     dt = opts.dt if opts.dt is not None else 0.05 / rate_max
     refs = {"u": None, "v": None}
     ref_failed, ref_note = set(), []
@@ -405,12 +460,19 @@ def two_field_reference(params, init, t_end, opts):
         if clamp_v and fte["v"] is None and not v.any():
             fte["v"], deaths["v"] = t_now, mode
 
+    def extinct(name):
+        other, field = ("v", v) if name == "u" else ("u", u)
+        if field.any() and grows[other]:
+            return (V_WINS if other == "v" else U_WINS), ""
+        fate = "has no positive steady state" if field.any() else "is zero everywhere"
+        return UNDECIDED, f"{name} extinct at t={t:g} and {other} {fate}"
+
     def classify(rate):
-        if float(v.max()) < 1e-4:
+        if float(v.max()) < 1e-4 and float(v.max()) <= float(v_last.max()):
             ref = survivor("u")
             if ref is not None and float(np.max(np.abs(u - ref))) < 1e-4:
                 return U_WINS
-        if float(u.max()) < 1e-4:
+        if float(u.max()) < 1e-4 and float(u.max()) <= float(u_last.max()):
             ref = survivor("v")
             if ref is not None and float(np.max(np.abs(v - ref))) < 1e-4:
                 return V_WINS
@@ -420,8 +482,9 @@ def two_field_reference(params, init, t_end, opts):
 
     clamp(0.0, "start")
     rate, tail, budget_hit = math.inf, False, False
+    u_last, v_last = u, v  # the fields before the last step
     for target in sorted(snap_times | checks):
-        while target - t > 1e-12 * max(1.0, target):
+        while not deaths and target - t > 1e-12 * max(1.0, target):
             if steps >= opts.max_steps:
                 budget_hit = True
                 break
@@ -458,8 +521,14 @@ def two_field_reference(params, init, t_end, opts):
                     raise CflViolation("time step underflow")
                 continue
             t += h
+            if target - t <= 1e-12 * max(1.0, target):
+                t = target
             clamp(t, "tail" if tail else "rk4")
             rate = max(float(np.max(np.abs(u - u_prev))), float(np.max(np.abs(v - v_prev)))) / h
+            u_last, v_last = u_prev, v_prev
+        if deaths:
+            label, note = extinct("u" if "u" in deaths else "v")
+            break
         if budget_hit:
             note = f"step budget ({opts.max_steps}) exhausted at t={t:g}"
             break
@@ -520,36 +589,38 @@ def _stacked_cases():
          PdeState(g32, 0.4 + 0.2 * np.cos(np.pi * x32), np.full(32, 0.3)), 300.0,
          PdeOptions(dt=0.02, snapshot_times=(0.7, 3.1, 42.0), check_interval=10.0), False, False,
          {}),
-        # p < 1: u is clamped to zero in finite time, on an RK4 step
+        # p < 1: u is clamped to zero in finite time, on an RK4 step, which
+        # ends the run; u's sup norm falls from above the tail threshold
+        # to 0 in that step, so the run never enters the IMEX tail
         ("const-p-clamp", PdeParams(1.0, 0.001, kinetics=RECOVERY),
-         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
-        # p < 1 and q < 1: u dies while v is still a live clampable row
+         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, False, False, {"u": "rk4"}),
+        # p < 1 and q < 1: u dies while v is a clampable row too
         ("const-pq-u-dies-v-live", PdeParams(1.0, 0.001, kinetics=recovery_pq),
-         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, True, False, {"u": "rk4"}),
-        # the mirror: v dies while u is still a live clampable row
+         PdeState(g48, band, 6.0 * band), 400.0, clamp_opts, False, False, {"u": "rk4"}),
+        # the mirror: v dies while u is a clampable row too
         ("const-pq-v-dies-u-live", PdeParams(0.001, 1.0, kinetics=KineticParams(
             a1=1, b1=1, c1=2, a2=1.1, b2=1, c2=1.2, p=0.5, q=0.1)),
-         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, True, False, {"v": "rk4"}),
-        # u is dead from t = 0; v invades from the left, and its front goes
-        # through the clamp test while u's row is dead
+         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, False, False, {"v": "rk4"}),
+        # u is zero from t = 0 and v lives on the left quarter: the run ends
+        # VWins at t = 0, before any step
         ("const-pq-v-front-after-u-dead", PdeParams(1.0, 1e-4, kinetics=recovery_pq),
          PdeState(g48, np.zeros(48), np.where(x48 < L / 4, 6.0 * band, 0.0)), 200.0,
          PdeOptions(dt=0.01, snapshot_times=(0.5, 2.0, 20.0), check_interval=10.0),
-         True, False, {"u": "start"}),
-        # both rows dead from t = 0
+         False, False, {"u": "start"}),
+        # both rows zero from t = 0: Undecided at t = 0
         ("const-pq-both-dead", PdeParams(0.01, 0.02, kinetics=recovery_pq),
          PdeState(g48, np.zeros(48), np.zeros(48)), 5.0,
-         PdeOptions(dt=0.05, snapshot_times=(1.0,), check_interval=2.0), True, False,
+         PdeOptions(dt=0.05, snapshot_times=(1.0,), check_interval=2.0), False, False,
          {"u": "start", "v": "start"}),
         # q < 1: the mirror image clamps v
         ("const-q-clamp", PdeParams(0.001, 1.0, kinetics=KineticParams(
             a1=1, b1=1, c1=2, a2=1.1, b2=1, c2=1.2, p=1.0, q=0.1)),
-         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, True, False, {"v": "rk4"}),
+         PdeState(g48, 6.0 * band, band), 400.0, clamp_opts, False, False, {"v": "rk4"}),
         # criterion 6 cells: smooth resource kinetics and the p = 0.7 flip
         ("resource-p1", PdeParams(3.98e-3, 3.98e-2, b=0.999, c=0.999, p=1.0, m=m64),
          PdeState(g64, half, half), 60000.0, map_opts, True, False, {}),
         ("resource-p07", PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m64),
-         PdeState(g64, half, half), 60000.0, map_opts, True, False, {"u": "rk4"}),
+         PdeState(g64, half, half), 60000.0, map_opts, False, False, {"u": "rk4"}),
         # u starts at 1e20 on three cells: RK4 overflows until dt has been
         # halved twice, and the overshoot then zeroes both fields, which
         # sends the run into the IMEX tail
@@ -619,7 +690,8 @@ def test_stacked_stepper_matches_two_field_reference(
 
 def test_stacked_cases_cover_every_specialised_reaction():
     # _make_reaction specialises on unit crowding and on p = q = 1; each
-    # specialisation, and the general path with a dead row, is pinned above
+    # specialisation, and the general path up to a row's extinction, is
+    # pinned above
     def covers(want):
         return any(want(params, init, opts, deaths)
                    for _, params, init, _, opts, _, _, deaths in STACKED_CASES)
@@ -691,14 +763,11 @@ def test_resolved_record_matches_the_per_flavour_formulas(name, params):
     react = lvfte_pde._make_reaction(rec)
     want_react = _reference_reaction(params)
     rng = np.random.default_rng(5)
-    for dead in ((), (0,), (1,), (0, 1)):
-        for scale in (1e-12, 0.3, 2.5):
-            w = rng.uniform(0.0, scale, (2, n))
-            w[:, :3] = 0.0  # points already clamped to zero
-            for k in dead:
-                w[k] = 0.0
-            want = np.stack(want_react(w[0].copy(), w[1].copy()))
-            assert react(w.reshape(-1).copy(), dead).tobytes() == want.tobytes()
+    for scale in (1e-12, 0.3, 2.5):
+        w = rng.uniform(0.0, scale, (2, n))
+        w[:, :3] = 0.0  # points already clamped to zero
+        want = np.stack(want_react(w[0].copy(), w[1].copy()))
+        assert react(w.reshape(-1).copy()).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -754,29 +823,6 @@ def test_default_dt_has_one_floor_for_both_flavours():
     tiny = KineticParams(a1=1e-7, a2=5e-7, b1=1, b2=1, c1=2e-7, c2=3e-7)
     rec = lvfte_pde._resolve(PdeParams(0.1, 0.2, kinetics=tiny), 16)
     assert lvfte_pde._default_dt(rec) == 0.05 / 1e-6
-
-
-def test_dead_row_skips_the_cross_terms(monkeypatch):
-    # criterion 6 cell (0, 15) at p = 0.7: u is zero everywhere from
-    # t = 30.5 on; after that no step evaluates u^p or the cross terms
-    calls = []
-
-    def counted(x, e):
-        calls.append(e)
-        return safe_pow_arr(x, e)
-
-    monkeypatch.setattr(lvfte_pde, "safe_pow_arr", counted)
-    g = Grid1D(0.0, 1.0, 64)
-    m = logistic_resource(g)
-    half = m.values / 2.0 + 0.01
-    params = PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m)
-    counts = []
-    for t_end in (35.0, 100.0):
-        calls.clear()
-        _, outcome = simulate_pde(params, PdeState(g, half, half), t_end, PdeOptions(dt=0.5))
-        assert outcome.fte_u_time == 30.5
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
 
 
 def test_joint_block_factor_equals_separate_factors():
@@ -916,21 +962,20 @@ class TestSteadyStateCache:
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)
         half = m.values / 2.0 + 0.01
-        params = PdeParams(1e-4, 1e-1, b=0.999, c=0.999, p=0.7, m=m)
+        # criterion 6 cell (7, 15) at p = 1: sup v < TOL_OUT by its UWins
+        # check at t = 1700, where u's profile is needed
+        params = PdeParams(AXIS[7], AXIS[15], b=0.999, c=0.999, p=1.0, m=m)
         opts = PdeOptions(dt=0.5, check_interval=100.0)
         for _ in range(2):  # the second run must fail the same way
-            _, outcome = simulate_pde(params, PdeState(g, half, half), 200.0, opts)
+            _, outcome = simulate_pde(params, PdeState(g, half, half), 1700.0, opts)
             assert outcome.label == UNDECIDED
-            assert "reference profile unavailable" in outcome.note
+            assert outcome.note.startswith("no verdict by t=1700; reference profile unavailable")
             assert "not reached by t=1" in outcome.note
 
 
 # ---------------------------------------------------------------------------
 # Verdicts under dt refinement (criterion 6 cells)
 # ---------------------------------------------------------------------------
-
-AXIS = np.geomspace(1e-4, 1e-1, 16)
-
 
 @pytest.mark.parametrize(
     "p, i, j",
