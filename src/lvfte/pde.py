@@ -12,11 +12,13 @@ single-species steady states, marched once per diffusivity.
 
 Space is discretised on cell centres, ``x_i = x0 + (i + 1/2) dx``, so the
 zero-flux closure is a one-sided difference at each end.  Time stepping is
-symmetric operator splitting: an implicit diffusion half step, one explicit
-RK4 reaction step, then a second implicit diffusion half step.  The implicit
-half steps make the scheme robust for stiff diffusion (fine grids, large d)
-while keeping a banded solve of trivial cost.  Both densities are stepped as
-one flat field of length 2 n_x, u's points then v's, so each half step is a
+one IMEX Runge-Kutta step, ARS(2,2,2) of Ascher, Ruuth & Spiteri (1997) at
+gamma = 1 + 1/sqrt(2): L-stable implicit diffusion, explicit reaction,
+second order in time, with every steady state of D w + R(w) = 0 as a fixed
+point.  Both implicit stages solve with I - gamma h D; the first stage is
+kept non-negative, or a dying row's overshoot, fed back through the weight
+1 - gamma < 0, can hold it just above zero.  Both densities are stepped as
+one flat field of length 2 n_x, u's points then v's, so each solve is a
 single banded solve of the block-diagonal system for u and v together.  The
 reaction is specialised once per run (unit crowding, linear cross terms) to
 the fewest numpy calls that give the per-species formulas' bits.
@@ -220,7 +222,10 @@ TOL_OUT = 1e-4  # sup-norm tolerance of an exclusion verdict
 TOL_POS = 1e-4  # Coexist needs both fields above this everywhere
 TOL_STEADY = 1e-7  # Coexist needs the discrete time derivative below this
 DT_MIN = 1e-12  # halving dt below this raises CflViolation
-TAIL_THRESHOLD = 1e-6  # a sup norm below this switches to the IMEX tail
+# ARS(2,2,2) at the root of its order condition where both explicit weights,
+# DELTA and 1 - DELTA, are positive: a dying row still overshoots to the clamp
+GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 
 @dataclass
@@ -394,14 +399,6 @@ def _make_reaction(rec: _Kinetics) -> Callable[[np.ndarray], np.ndarray]:
     return react
 
 
-def _rk4_reaction(react: Callable[[np.ndarray], np.ndarray], w: np.ndarray, h: float) -> np.ndarray:
-    k1 = react(w)
-    k2 = react(w + 0.5 * h * k1)
-    k3 = react(w + 0.5 * h * k2)
-    k4 = react(w + h * k3)
-    return w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 STEADY_TOL = 1e-9  # a steady-state march stops once sup|Δw|/dt falls below this
 STEADY_T_MAX = 1e5  # and raises NonConvergence if it has not stopped by this time
 
@@ -537,17 +534,18 @@ def simulate_pde(
     it and its growth row are positive somewhere; otherwise the run ends
     Undecided with a note naming the extinction.
 
-    Stepping is symmetric splitting (implicit diffusion half steps around
-    an RK4 reaction step) while both species are active.  Once either
-    field's sup norm falls below TAIL_THRESHOLD the stepper switches to
-    an implicit-diffusion / explicit-reaction step whose fixed points solve
-    the discrete steady equations exactly, so a lone survivor relaxes onto
-    the same profile the steady reference uses, free of splitting bias.
+    Every step is the one IMEX step of the module docstring, whose fixed
+    points solve the discrete steady equations exactly, so a lone survivor
+    settles onto the profile the steady reference uses.  Between targets
+    the clock is the last target reached (or the time of the last halving
+    of dt) plus a whole number of steps of dt, not a running sum of steps.
 
-    A non-finite step is retried with half the time step; below DT_MIN
-    this raises CflViolation.  Non-finite initial data raises
-    NonFiniteField, and options that fail ``PdeOptions.validate`` raise
-    InvalidParameter.
+    A step fails when its result is not finite or has an entry below minus
+    the largest entry of the field before it (an explicit overshoot larger
+    than the whole field).  A failed step is retried with half the time
+    step; below DT_MIN this raises CflViolation.  Non-finite initial data
+    raises NonFiniteField, and options that fail ``PdeOptions.validate``
+    raise InvalidParameter.
     """
     if opts is None:
         opts = PdeOptions()
@@ -565,7 +563,6 @@ def simulate_pde(
 
     n, dx = grid.n_x, grid.dx
     rows = (slice(0, n), slice(n, 2 * n))
-    row_starts = np.array([0, n])
     rec = _resolve(params, n)
     react = _make_reaction(rec)
     clampable = (rec.p < 1.0, rec.q < 1.0)
@@ -636,7 +633,7 @@ def simulate_pde(
     last_rate = math.inf
     w_before = w  # the field before the last step of a check
     budget_hit = False
-    imex_tail = False
+    t_seg, k_seg = 0.0, 0  # the clock is t_seg + k_seg * dt between targets
     for target, is_snapshot, is_check in _targets(t_end, opts):
         slack = 1e-12 * max(1.0, target)
         while died is None and target - t > slack:
@@ -645,29 +642,28 @@ def simulate_pde(
                 break
             h = min(dt, target - t)
             w_prev = w
-            low = min(np.maximum.reduceat(w, row_starts))  # the smaller row sup norm
-            if not imex_tail and low < TAIL_THRESHOLD:
-                imex_tail = True
-            elif imex_tail and low > 10.0 * TAIL_THRESHOLD:
-                imex_tail = False
-            if imex_tail:
-                w = cho_solve_banded(factor(h), w + h * react(w))
-            else:
-                half = factor(0.5 * h)
-                w = cho_solve_banded(half, _rk4_reaction(react, cho_solve_banded(half, w), h))
+            f = factor(GAMMA * h)
+            k1 = react(w)
+            b = w + (GAMMA * h) * k1
+            y = np.maximum(cho_solve_banded(f, b), 0.0)
+            rhs = w + h * (DELTA * k1 + (1.0 - DELTA) * react(y))
+            w = cho_solve_banded(f, rhs + ((1.0 - GAMMA) / GAMMA) * (y - b))
             steps += 1
-            if not math.isfinite(float(w.sum())):
+            if not (math.isfinite(float(w.sum())) and float(w.min()) >= -float(w_prev.max())):
                 w = w_prev
                 dt *= 0.5
                 if dt < DT_MIN:
                     raise CflViolation(
                         f"time step underflow at t={t:g} (dt={dt:.3e})"
                     )
+                t_seg, k_seg = t, 0
                 continue
-            last = target - (t + h) <= slack  # the clock lands on the target
-            t = target if last else t + h
+            k_seg += 1
+            t = t_seg + k_seg * dt
+            if target - t <= slack:  # the clock lands on the target
+                t, t_seg, k_seg = target, target, 0
             died = apply_clamp(t)
-            if last:  # classify_now reads the last step's rate and start
+            if t == target:  # classify_now reads the last step's rate and start
                 last_rate, w_before = float(np.abs(w - w_prev).max()) / h, w_prev
         if died is not None:
             label, note = extinction_verdict(died)

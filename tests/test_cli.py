@@ -302,7 +302,8 @@ class TestPdeCommand:
         # t = 0 and the final state at u's extinction (t = 0.23); the requested
         # times 2 and 8 come after the verdict and are not written
         assert len(names) == 2
-        assert res["outcome"]["t_reached"] == res["outcome"]["fte_u_time"]
+        # the clock counts whole steps of dt = 0.01 from t = 0, not a sum
+        assert res["outcome"]["t_reached"] == res["outcome"]["fte_u_time"] == 23 * 0.01
         rows = read_csv(out / "snapshot_000.csv")
         assert rows[0] == ["x", "u", "v"]
         assert len(rows) == 129
