@@ -251,7 +251,9 @@ def scalar_roots(fn: Callable[[float], float], lo: float, hi: float) -> List[flo
     fn takes a float or, elementwise, a numpy array.  Dense sign scan of
     fn over one array of SCAN_POINTS points, then bisection + Newton
     polish on floats; grazing double roots (no sign change, |fn| dipping
-    to ~0) are detected at local minima of |fn| and reported once.
+    to ~0) are looked for at the discrete local minima of |fn| whose
+    three-point parabola dips to ~0, refined by golden section and reported
+    once.
     """
     xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
     fs = np.asarray(fn(xs), dtype=float)
@@ -259,13 +261,19 @@ def scalar_roots(fn: Callable[[float], float], lo: float, hi: float) -> List[flo
     roots: List[float] = [float(x) for x in xs[fs == 0.0]]
     for i in np.flatnonzero(fs[:-1] * fs[1:] < 0.0):
         roots.append(_refine_bracket(fn, float(xs[i]), float(xs[i + 1])))
-    # Grazing roots: interior local minima of |fn| that nearly vanish but
-    # carry no sign change around them.
+    # Grazing roots: interior local minima of |fn| with no sign change around
+    # them, refined where the parabola through the three scan values dips to
+    # within 1e-9 * scale of zero (or past it).
     absfs = np.abs(fs)
     mid = absfs[1:-1]
-    grazing = (mid <= absfs[:-2]) & (mid <= absfs[2:]) & (mid < 1e-9 * scale)
-    grazing &= (fs[:-2] * fs[2:] > 0.0) & (fs[1:-1] != 0.0)
-    for i in np.flatnonzero(grazing) + 1:
+    lows = (mid <= absfs[:-2]) & (mid <= absfs[2:])
+    lows &= (fs[:-2] * fs[2:] > 0.0) & (fs[1:-1] != 0.0)
+    for i in np.flatnonzero(lows) + 1:
+        left, here, right = float(fs[i - 1]), float(fs[i]), float(fs[i + 1])
+        curve = right - 2.0 * here + left
+        vertex = here - (right - left) ** 2 / (8.0 * curve) if curve != 0.0 else here
+        if (vertex if left > 0.0 else -vertex) >= 1e-9 * scale:
+            continue
         x = _refine_tangency(fn, float(xs[i - 1]), float(xs[i + 1]))
         if abs(fn(x)) <= 1e-10 * scale:
             roots.append(x)

@@ -59,16 +59,27 @@ _E4 = 125 / 192 - 393 / 640
 _E5 = -2187 / 6784 + 92097 / 339200
 _E6 = 11 / 84 - 187 / 2100
 _E7 = -1 / 40
+# Dense output: over the step, y(t + th*h) = y0 + th*(r2 + (1-th)*(r3 + th*(r4 + (1-th)*r5)))
+# with r5 = h * (D1*k1 + D3*k3 + ... + D7*k7) (Hairer, Norsett & Wanner, Solving
+# ODEs I, sec. II.6).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 Rhs2 = Callable[[float, float], Tuple[float, float]]
 
 
-def _dp45(f: Rhs2, u: float, v: float, h: float, k1u: float, k1v: float, last: bool = True):
+def _dp45(f: Rhs2, u: float, v: float, h: float, k1u: float, k1v: float):
     """One Dormand-Prince step of size h from (u, v), given k1 = f(u, v).
 
-    Returns (u5, v5, k7u, k7v, err_u, err_v); k7 = f(u5, v5) is the next
-    step's k1 (first same as last).  last=False skips k7 and the error and
-    returns (u5, v5).
+    Returns (u5, v5, k7u, k7v, err_u, err_v, stages); k7 = f(u5, v5) is the
+    next step's k1 (first same as last), and stages = (k3u, k3v, k4u, k4v,
+    k5u, k5v, k6u, k6v) are what the dense output needs besides k1 and k7.
     """
     k2u, k2v = f(u + h * (_A21 * k1u), v + h * (_A21 * k1v))
     k3u, k3v = f(u + h * (_A31 * k1u + _A32 * k2u), v + h * (_A31 * k1v + _A32 * k2v))
@@ -86,12 +97,51 @@ def _dp45(f: Rhs2, u: float, v: float, h: float, k1u: float, k1v: float, last: b
     )
     u5 = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
     v5 = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-    if not last:
-        return u5, v5
     k7u, k7v = f(u5, v5)
     err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
     err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-    return u5, v5, k7u, k7v, err_u, err_v
+    return u5, v5, k7u, k7v, err_u, err_v, (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v)
+
+
+def _interpolant(h, y0, y1, k1, k3, k4, k5, k6, k7) -> Tuple[float, float, float, float]:
+    """(c1, c2, c3, c4) with y(t + th*h) = y0 + th*(c1 + th*(c2 + th*(c3 + th*c4))),
+    the dense output of one component over an accepted step, th in [0, 1]."""
+    r2 = y1 - y0
+    r3 = h * k1 - r2
+    r4 = r2 - h * k7 - r3
+    r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+    return r2 + r3, r4 + r5 - r3, -r4 - 2.0 * r5, r5
+
+
+def _horner(y0: float, c, th: float) -> float:
+    """The interpolant y0 + th*(c1 + th*(c2 + th*(c3 + th*c4))) at th."""
+    c1, c2, c3, c4 = c
+    return y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+
+
+def _dense_root(y0: float, c, level: float) -> float:
+    """th in (0, 1] where the interpolant falls to level, given
+    y(0) >= level > y(1): Newton steps kept inside the bracket, with
+    bisection where a step would leave it."""
+    c1, c2, c3, c4 = c
+    lo, hi = 0.0, 1.0
+    th = (y0 - level) / -(c1 + c2 + c3 + c4)  # where the chord falls to level
+    for _ in range(100):
+        g = _horner(y0, c, th) - level
+        if g == 0.0:
+            return th
+        if g > 0.0:
+            lo = th
+        else:
+            hi = th
+        dg = c1 + th * (2.0 * c2 + th * (3.0 * c3 + th * 4.0 * c4))
+        nxt = th - g / dg if dg != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - th) <= 1e-15 or hi - lo <= 1e-15:
+            return nxt
+        th = nxt
+    return th
 
 
 def _adaptive_dp45(
@@ -105,8 +155,9 @@ def _adaptive_dp45(
     1e-14 * max(1, |t|) (NonFiniteState, StepSizeUnderflow); max_steps
     attempts end in StepLimitReached.  The errors carry ``trajectory``.
     Each accepted step calls accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v,
-    factor), with k7 = f(u5, v5) and h * factor the proposed next step; it
-    returns the next (t, u, v, k1u, k1v, h), or None to stop.
+    factor, stages), with k7 = f(u5, v5), h * factor the proposed next step
+    and stages those of _dp45; it returns the next (t, u, v, k1u, k1v, h), or
+    None to stop.
     """
     steps = 0
     while t < t_end:
@@ -117,7 +168,7 @@ def _adaptive_dp45(
             )
         steps += 1
         h = min(h, t_end - t)
-        u5, v5, k7u, k7v, eu, ev = _dp45(f, u, v, h, k1u, k1v)
+        u5, v5, k7u, k7v, eu, ev, stages = _dp45(f, u, v, h, k1u, k1v)
         if not (math.isfinite(u5) and math.isfinite(v5)):
             h *= 0.25
             if h < 1e-14 * max(1.0, abs(t)):
@@ -140,7 +191,7 @@ def _adaptive_dp45(
                     f"step size underflow near t={t:.6g}", trajectory=trajectory
                 )
             continue
-        nxt = accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor)
+        nxt = accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor, stages)
         if nxt is None:
             return
         t, u, v, k1u, k1v, h = nxt
@@ -196,9 +247,10 @@ class IntegrateOptions:
 
 
 EPS_EXT = 1e-10  # extinction clamp threshold
-EVENT_TIME_TOL = 1e-10  # bisection bracket width on the event time
 LOCK_RADIUS = 1e-6  # distance for terminal lock-on
 LOCK_SPEED = 1e-8  # speed for terminal lock-on
+# s at which x' is taken for its limit at x = 0+ (x = s**(1 - e) > 0 there).
+_S_TINY = 1e-200
 
 _REPELLING = (Stability.SOURCE, Stability.SPIRAL_SOURCE, Stability.SADDLE)
 
@@ -216,11 +268,13 @@ def _check_tolerances(rtol: float, atol: float) -> None:
             raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
 
 
-def _clampable(params: AnyParams) -> Tuple[bool, bool]:
-    """Which species carry an active non-smooth term that can force them to 0."""
+def _loss_exponents(params: AnyParams) -> Tuple[float, float]:
+    """The exponent e of each species' sub-linear loss term -B*s**e, or 1.0
+    for a species without one.  A species with e < 1 can reach 0 in finite
+    time."""
     if isinstance(params, HarvestParams):
-        return False, params.e > 0.0 and params.base.q < 1.0
-    return params.p < 1.0, params.q < 1.0
+        return 1.0, params.base.q if params.e > 0.0 else 1.0
+    return params.p, params.q
 
 
 @functools.lru_cache(maxsize=256)
@@ -237,15 +291,25 @@ def integrate(
 ) -> Trajectory:
     """Integrate from ic over [0, t_end] with extinction clamping.
 
-    Whenever a species with an active fractional-exponent term drops below
-    EPS_EXT with a non-positive derivative, the crossing time of the EPS_EXT
-    level is bracketed by bisection on the step, the species is set to
-    exactly 0 from then on, and an FteEvent is recorded.  The trajectory
-    terminates early with an Attractor label when the state comes within
-    LOCK_RADIUS of a non-repelling equilibrium at speed below LOCK_SPEED
-    (repelling equilibria only lock when hit exactly).  Harvest runs have no
-    equilibrium list; they lock onto any state slower than LOCK_SPEED as
-    "steady".
+    A species whose loss term is -B*s**e with e < 1 can reach 0 in finite
+    time, and near that time s falls like (t* - t)**(1/(1 - e)), which no
+    Runge-Kutta step resolves.  So each such species is carried as
+    x = s**(1 - e), which crosses 0 with a non-zero slope.  Its x' comes
+    from rhs by the chain rule, x' = (1 - e) * s**(-e) * s'; a stage past
+    the crossing (x < 0) takes x'(x) = 2*x'(0+) - x'(|x|), which extends
+    x' smoothly to O(|x|**(1 + 1/(1 - e))).  rtol and atol bound the error
+    of x for such a species.  Samples report (u, v).
+
+    When a species drops below EPS_EXT with a non-positive derivative, its
+    crossing time of the EPS_EXT level is the root of the step's dense
+    output at x = EPS_EXT**(1 - e).  From then on the species is exactly 0
+    and the survivor is integrated as it is; its loss term needs the dead
+    species, so no second extinction follows.  An FteEvent is recorded.
+    The trajectory terminates early with an Attractor label when the state
+    comes within LOCK_RADIUS of a non-repelling equilibrium at speed below
+    LOCK_SPEED (repelling equilibria only lock when hit exactly).  Harvest
+    runs have no equilibrium list; they lock onto any state slower than
+    LOCK_SPEED as "steady".
     """
     opts = opts or IntegrateOptions()
     if not (ic.u >= 0.0 and ic.v >= 0.0):
@@ -258,16 +322,41 @@ def integrate(
 
     harvest = isinstance(params, HarvestParams)
     kinetics = harvest_rhs if harvest else rhs
-    clamp_u, clamp_v = _clampable(params)
-    locked = [False, False]
+    eu, ev = _loss_exponents(params)
+    # gu, gv: x = s**g for a species that can die; below lo its x' is reflected.
+    gu, gv = 1.0 - eu, 1.0 - ev
+    ku, kv = 1.0 / gu if eu < 1.0 else 1.0, 1.0 / gv if ev < 1.0 else 1.0
+    lo_u = _S_TINY**gu if eu < 1.0 else -math.inf
+    lo_v = _S_TINY**gv if ev < 1.0 else -math.inf
+    xu, xv = eu < 1.0, ev < 1.0  # which species is carried as x, until an event
 
-    def f(u: float, v: float) -> Tuple[float, float]:
+    def f(a: float, b: float) -> Tuple[float, float]:
+        """Time derivative in the carried coordinates (a, b)."""
+        if a < lo_u or b < lo_v:
+            # A stage past the crossing: reflect x' through its value at 0+.
+            zu, zv = f(max(a, lo_u), max(b, lo_v))
+            ru, rv = f(max(-a, lo_u) if a < lo_u else a, max(-b, lo_v) if b < lo_v else b)
+            return 2.0 * zu - ru, 2.0 * zv - rv
+        u = a**ku if xu else a
+        v = b**kv if xv else b
         du, dv = kinetics(params, (u, v))
-        if locked[0]:
-            du = 0.0
-        if locked[1]:
-            dv = 0.0
+        if xu:
+            du *= gu * a / u
+        if xv:
+            dv *= gv * b / v
         return du, dv
+
+    def to_uv(a: float, b: float, da: float, db: float) -> Tuple[float, float, float, float]:
+        """(u, v) and its speed from carried coordinates, with s' = x' * s**e / (1 - e)."""
+        if xu:
+            u = a**ku
+            da = da * u / (gu * a) if a > 0.0 else 0.0
+            a = u
+        if xv:
+            v = b**kv
+            db = db * v / (gv * b) if b > 0.0 else 0.0
+            b = v
+        return a, b, da, db
 
     known = () if harvest else _known_equilibria(params)
     traj = Trajectory()
@@ -289,71 +378,70 @@ def integrate(
         return None
 
     def lock(idx: int, t_star: float, u: float, v: float) -> Tuple[float, float]:
-        """Record species idx extinct at t_star and pin it at 0; the other is floored at 0."""
-        locked[idx] = True
+        """Record species idx extinct at t_star and set it to 0.  Both species
+        are plain (u, v) from here on; a dead species stays exactly 0, since
+        every term of its rhs carries it as a factor."""
+        nonlocal xu, xv, lo_u, lo_v
+        xu = xv = False
+        lo_u = lo_v = -math.inf
         traj.events.append(FteEvent((Species.U, Species.V)[idx], t_star))
-        return (0.0, max(v, 0.0)) if idx == 0 else (max(u, 0.0), 0.0)
+        return (0.0, v) if idx == 0 else (u, 0.0)
 
     u, v = float(ic.u), float(ic.v)
     # An initial value already at/below the clamp level with non-increasing
     # derivative counts as extinct at t = 0.
-    for idx, (clampable, val) in enumerate(((clamp_u, u), (clamp_v, v))):
-        if clampable and val < EPS_EXT and f(u, v)[idx] <= 0.0:
+    for idx, (e, val) in enumerate(((eu, u), (ev, v))):
+        if e < 1.0 and val < EPS_EXT and kinetics(params, (u, v))[idx] <= 0.0:
             u, v = lock(idx, 0.0, u, v)
-
     samples.append((0.0, State2(u, v)))
-    k1u, k1v = f(u, v)
-    term = terminal_at(u, v, k1u, k1v)
+    a, b = (u**gu if xu else u), (v**gv if xv else v)
+    k1a, k1b = f(a, b)
+    term = terminal_at(*to_uv(a, b, k1a, k1b))
     if term is not None:
         traj.terminal = term
         return traj
+    # The EPS_EXT level in carried coordinates.
+    level_u, level_v = EPS_EXT**gu, EPS_EXT**gv
 
-    def accept(t, h, u, v, k1u, k1v, u5, v5, k7u, k7v, factor):
-        # Extinction clamp: bracket the EPS_EXT crossing inside this step.
-        # The derivative test floors the other species, so it is the last
-        # stage unless that species ended the step below 0.
-        if clamp_u and not locked[0] and u5 < EPS_EXT and (
-            k7u if v5 >= 0.0 else f(u5, 0.0)[0]
-        ) <= 0.0:
-            event_species = 0
-        elif clamp_v and not locked[1] and v5 < EPS_EXT and (
-            k7v if u5 >= 0.0 else f(0.0, v5)[1]
-        ) <= 0.0:
-            event_species = 1
+    def accept(t, h, a, b, k1a, k1b, a5, b5, k7a, k7b, factor, stages):
+        # Extinction: the carried species ends the step below the level with
+        # a non-positive derivative.  The derivative test floors the other
+        # species, so it is the last stage unless that one ended below 0.
+        if xu and a5 < level_u and (k7a if b5 >= 0.0 else f(a5, 0.0)[0]) <= 0.0:
+            idx = 0
+        elif xv and b5 < level_v and (k7b if a5 >= 0.0 else f(0.0, b5)[1]) <= 0.0:
+            idx = 1
         else:
-            event_species = None
-        if event_species is not None:
-            # at_hi is the state one step of size hi from (u, v).
-            lo, hi, at_hi = 0.0, h, (u5, v5)
-            if (u, v)[event_species] < EPS_EXT:
-                hi, at_hi = 0.0, (u, v)  # already at the level when the step began
-            while hi - lo > EVENT_TIME_TOL:
-                mid = 0.5 * (lo + hi)
-                at_mid = _dp45(f, u, v, mid, k1u, k1v, last=False)
-                if at_mid[event_species] < EPS_EXT:
-                    hi, at_hi = mid, at_mid
-                else:
-                    lo = mid
-            t += hi
-            u, v = lock(event_species, t, *at_hi)
-            k1u, k1v = f(u, v)  # a species is now locked
+            idx = None
+        if idx is not None:
+            k3a, k3b, k4a, k4b, k5a, k5b, k6a, k6b = stages
+            ca = _interpolant(h, a, a5, k1a, k3a, k4a, k5a, k6a, k7a)
+            cb = _interpolant(h, b, b5, k1b, k3b, k4b, k5b, k6b, k7b)
+            y0, c, level = (a, ca, level_u) if idx == 0 else (b, cb, level_v)
+            # th = 0 when the species already began the step below the level.
+            th = _dense_root(y0, c, level) if y0 >= level else 0.0
+            u, v, _, _ = to_uv(max(_horner(a, ca, th), 0.0), max(_horner(b, cb, th), 0.0), 0.0, 0.0)
+            t += th * h
+            a, b = lock(idx, t, u, v)
+            k1a, k1b = f(a, b)  # a species is now dead
             h_next = max(h, 1e-8)
         else:
-            # Floor tiny sub-zero excursions of smooth species.  The last
-            # stage is the next first stage unless the floor moved the state.
-            u, v, t = max(u5, 0.0), max(v5, 0.0), t + h
-            k1u, k1v = f(u, v) if u5 < 0.0 or v5 < 0.0 else (k7u, k7v)
+            # Floor tiny sub-zero excursions.  The last stage is the next
+            # first stage unless the floor moved the state.
+            a, b, t = max(a5, 0.0), max(b5, 0.0), t + h
+            k1a, k1b = f(a, b) if a5 < 0.0 or b5 < 0.0 else (k7a, k7b)
             h_next = h * factor
+        u, v, du, dv = to_uv(a, b, k1a, k1b)
         samples.append((t, State2(u, v)))
-        term = terminal_at(u, v, k1u, k1v)
+        term = terminal_at(u, v, du, dv)
         if term is not None:
             traj.terminal = term
             return None
-        return t, u, v, k1u, k1v, h_next
+        return t, a, b, k1a, k1b, h_next
 
     h = min(1e-3, t_end / 100.0)
     _adaptive_dp45(
-        f, 0.0, u, v, k1u, k1v, h, t_end, opts.rtol, opts.atol, opts.max_steps, accept, traj
+        f, 0.0, a, b, k1a, k1b, h, t_end, opts.rtol, opts.atol, opts.max_steps, accept, traj
     )
     return traj
 
@@ -509,7 +597,7 @@ def trace_separatrix(
         v = saddle.point.v + sign * delta * float(vs[1])
         pts: List[State2] = [State2(u, v)]
 
-        def accept(t, h, u, v, du, dv, u5, v5, k7u, k7v, factor):
+        def accept(t, h, u, v, du, dv, u5, v5, k7u, k7v, factor, stages):
             if not (ulo <= u5 <= uhi and vlo <= v5 <= vhi):
                 pts.append(_clip_to_box(State2(u, v), State2(u5, v5), box))
                 return None

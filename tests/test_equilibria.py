@@ -270,6 +270,16 @@ class TestScalarRoots:
         assert roots[0] == pytest.approx(x0, abs=1e-5)
         assert roots == _loop_scan(fn, 0.0, 1.0)
 
+    @pytest.mark.parametrize("shift", [0.5 / (SCAN_POINTS + 1), 3e-5], ids=["halfway", "3e-5-past"])
+    def test_grazing_root_between_scan_points_is_found(self, shift):
+        # |fn| at the nearest scan point is far above 1e-9 of the scale, but
+        # the parabola through the three scan values around it touches zero
+        x0 = float(self.XS[700]) + shift
+        fn = lambda x: (x - x0) ** 2  # noqa: E731
+        roots = scalar_roots(fn, 0.0, 1.0)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(x0, abs=1e-6)
+
     def test_simple_roots_and_a_root_on_a_scan_point(self):
         x0 = float(self.XS[300])
         fn = lambda x: (x - x0) * (x - 0.61)  # noqa: E731

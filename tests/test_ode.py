@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import lvfte.ode as ode_mod
@@ -25,6 +26,8 @@ from lvfte import (
 FTE_CERTIFIED = KineticParams(a1=1.8, b1=1, c1=0.5, a2=3, b2=1, c2=1.8, p=0.4, q=1.0)
 WEAK = KineticParams(a1=1, b1=1, c1=0.3, a2=2, b2=1, c2=1.8)
 STRONG_SYMMETRIC = KineticParams(a1=1, b1=1, c1=2, a2=1, b2=1, c2=2)
+
+MIXED = KineticParams(a1=1.8, b1=1, c1=0.5, a2=3, b2=1, c2=1.8, p=1.0, q=0.3)
 
 HARVEST = HarvestParams(
     base=KineticParams(a1=1.8, b1=1, c1=0.5, a2=3, b2=1, c2=1.7, p=1.0, q=0.1),
@@ -86,6 +89,74 @@ class TestIntegrate:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(InvalidParameter):
             integrate(WEAK, State2(0.5, 0.5), 0.0)
+
+
+def mirrored(k: KineticParams) -> KineticParams:
+    return KineticParams(a1=k.a2, a2=k.a1, b1=k.b2, b2=k.b1, c1=k.c2, c2=k.c1, p=k.q, q=k.p)
+
+
+class TestEventTimes:
+    def test_certified_event_times_match_a_converged_reference(self):
+        # criterion-3-style draws against DOP853 at rtol 1e-12, atol 1e-14,
+        # stopped where u crosses EPS_EXT downward; that reference moves by
+        # under 1e-9 when its tolerances are tightened further
+        from scipy.integrate import solve_ivp
+
+        k = FTE_CERTIFIED
+
+        def field(t, y):
+            u, v = y
+            return [
+                k.a1 * u - k.b1 * u * u - k.c1 * max(u, 0.0) ** k.p * v,
+                k.a2 * v - k.b2 * v * v - k.c2 * u * v,
+            ]
+
+        def crossing(t, y):
+            return y[0] - ode_mod.EPS_EXT
+
+        crossing.terminal, crossing.direction = True, -1
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(100):
+            u0 = float(rng.uniform(0.01, 1.8))
+            v0 = fte_threshold(k, u0) * float(rng.uniform(1.02, 1.5))
+            ref = solve_ivp(
+                field, (0.0, 200.0), [u0, v0], method="DOP853", rtol=1e-12, atol=1e-14,
+                events=crossing,
+            ).t_events[0][0]
+            traj = integrate(k, State2(u0, v0), 200.0)
+            assert [ev.species for ev in traj.events] == [Species.U], (u0, v0)
+            worst = max(worst, abs(traj.events[0].t_star - ref) / ref)
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize(
+        "params, u0, v0",
+        [
+            (FTE_CERTIFIED, 0.5, 10.0),
+            (FTE_CERTIFIED, 0.05, 3.5),
+            (FTE_CERTIFIED, 1.7, 20.0),
+            (MIXED, 1.13231211, 0.7),
+            (MIXED, 1.13231211, 2.0),
+        ],
+        ids=["certified", "certified-small-u", "certified-large-u", "mixed-below", "mixed-above"],
+    )
+    def test_mirrored_run_is_the_same_computation(self, params, u0, v0):
+        # swapping u with v and a1<->a2, b1<->b2, c1<->c2, p<->q swaps the event
+        # species and mirrors the terminal point, so the u-side and v-side
+        # carried coordinates are one computation
+        swap = {Species.U: Species.V, Species.V: Species.U}
+        run = integrate(params, State2(u0, v0), 400.0)
+        mirror = integrate(mirrored(params), State2(v0, u0), 400.0)
+        assert [swap[ev.species] for ev in mirror.events] == [ev.species for ev in run.events]
+        for ev, mev in zip(run.events, mirror.events):
+            assert mev.t_star == pytest.approx(ev.t_star, rel=1e-10)
+        names = {"u-axis": "v-axis", "v-axis": "u-axis", "interior": "interior"}
+        assert run.terminal is not None and mirror.terminal is not None
+        assert names[mirror.terminal.name] == run.terminal.name
+        assert tuple(reversed(mirror.terminal.point)) == pytest.approx(
+            tuple(run.terminal.point), abs=1e-12
+        )
+        assert len(mirror.samples) == len(run.samples)
 
 
 class TestClassifyBasin:
@@ -249,31 +320,32 @@ class TestStepAccounting:
             integrate(FTE_CERTIFIED, State2(0.5, 0.5), 200.0, IntegrateOptions(max_steps=max_steps))
 
     def test_rhs_calls_per_accepted_step(self, monkeypatch):
-        # Dormand-Prince is first-same-as-last: an attempt costs six new stages
-        # and a bisection trial five; the first stage is evaluated only at
-        # t = 0 and after the lock at the event.  This run (the
-        # ode_extinction_event recipe) makes 208 attempts (184 accepted, 24
-        # rejected) and 15 bisection trials, which puts the floor at 7.20
-        # calls per accepted step.  Evaluating the first stage afresh for
-        # every attempt and every lock-on test costs 9.5.
-        counts = {"rhs": 0, "full": 0, "trial": 0}
+        # Dormand-Prince is first-same-as-last: an attempt costs six new stages;
+        # the first stage is evaluated only at t = 0 and after the event, and
+        # a stage past the zero crossing of x = u^(1-p) costs one more call for
+        # its reflection.  The event time is a root of the step's dense output,
+        # which calls nothing.  This run (the ode_extinction_event recipe) makes
+        # 110 attempts (109 accepted, 1 rejected) and reflects 6 stages, 6.13
+        # calls per accepted step.  Stepping in u itself took 184 accepted steps
+        # and a 15-trial bisection of the event, 7.20 calls per step.
+        counts = {"rhs": 0, "attempts": 0}
         rhs, dp45 = ode_mod.rhs, ode_mod._dp45
 
         def counting_rhs(*args):
             counts["rhs"] += 1
             return rhs(*args)
 
-        def counting_dp45(*args, last=True):
-            counts["full" if last else "trial"] += 1
-            return dp45(*args, last=last)
+        def counting_dp45(*args):
+            counts["attempts"] += 1
+            return dp45(*args)
 
         monkeypatch.setattr(ode_mod, "rhs", counting_rhs)
         monkeypatch.setattr(ode_mod, "_dp45", counting_dp45)
         traj = integrate(FTE_CERTIFIED, State2(0.5, 10.0), 200.0)
         assert [ev.species for ev in traj.events] == [Species.U]
         accepted = len(traj.samples) - 1  # the event point replaces its step's sample
-        assert (accepted, counts["full"], counts["trial"]) == (184, 208, 15)
-        assert counts["rhs"] == 6 * counts["full"] + 5 * counts["trial"] + 2
+        assert (accepted, counts["attempts"], counts["rhs"]) == (109, 110, 668)
+        assert counts["rhs"] == 6 * counts["attempts"] + 2 + 6
         assert counts["rhs"] / accepted <= 7.21
 
 

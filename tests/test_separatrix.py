@@ -84,7 +84,7 @@ def reference_separatrix(params, saddle, delta=1e-6, max_backward_time=200.0,
             if any(math.hypot(u - eq.point.u, v - eq.point.v) < 1e-6 for eq in others):
                 break
             h = min(h, max_backward_time - t)
-            u5, v5, k7u, k7v, eu, ev = _dp45(backward, u, v, h, du, dv)
+            u5, v5, k7u, k7v, eu, ev, _ = _dp45(backward, u, v, h, du, dv)
             if not (math.isfinite(u5) and math.isfinite(v5)):
                 h *= 0.25
                 if h < 1e-14:
