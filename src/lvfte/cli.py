@@ -135,6 +135,12 @@ def _check_reads(cfg: ExperimentConfig, command: str) -> None:
                 )
 
 
+def _set_keys(cfg: ExperimentConfig, section: str, *keys: str) -> Dict[str, object]:
+    """Those of ``keys`` that ``section`` sets, so the callee's defaults stay its own."""
+    values = cfg.sections.get(section, {})
+    return {key: values[key] for key in keys if key in values}
+
+
 def _solver_options(cfg: ExperimentConfig) -> Dict[str, object]:
     """The ``solver`` keys but t_end: by _READS, options of the command's solver."""
     return {key: val for key, val in cfg.sections.get("solver", {}).items() if key != "t_end"}
@@ -196,13 +202,12 @@ def cmd_separatrix(cfg: ExperimentConfig, args) -> _Outputs:
     if not saddles:
         raise NotASaddle("no interior saddle for these parameters")
     saddle = saddles[0]
-    delta = float(cfg.get("separatrix", "delta", 1e-6))
-    max_back = float(cfg.get("separatrix", "max_backward_time", 200.0))
     n = int(cfg.get("separatrix", "threshold_samples", 200))
     if n < 2:
         raise ConfigError("separatrix.threshold_samples must be at least 2")
     sep = trace_separatrix(
-        params, saddle, delta=delta, max_backward_time=max_back, **_solver_options(cfg)
+        params, saddle, **_set_keys(cfg, "separatrix", "delta", "max_backward_time"),
+        **_solver_options(cfg),
     )
     rows = []
     arc = 0.0
@@ -304,8 +309,8 @@ def _scan_diffusion(cfg: ExperimentConfig, args) -> _Outputs:
         t_end,
         grid=grid,
         options=opts,
-        ic_offset=float(cfg.get("scan", "ic_offset", 0.01)),
         workers=args.workers,
+        **_set_keys(cfg, "scan", "ic_offset"),
     )
     rows = (
         (

@@ -189,7 +189,7 @@ def boundary_equilibria(params: KineticParams) -> List[Equilibrium]:
 
 
 def _refine_bracket(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection to machine width on a sign-change bracket, then Newton polish."""
+    """Bisection to machine width on a sign-change bracket."""
     flo = fn(lo)
     if flo == 0.0:
         return lo
@@ -204,24 +204,7 @@ def _refine_bracket(fn: Callable[[float], float], lo: float, hi: float) -> float
             lo, flo = mid, fmid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    # Newton polish with a central-difference derivative, kept inside [lo, hi].
-    step = max(abs(root), 1.0) * 1e-7
-    for _ in range(3):
-        fr = fn(root)
-        if fr == 0.0:
-            break
-        d = (fn(root + step) - fn(root - step)) / (2.0 * step)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        candidate = root - fr / d
-        if not (lo <= candidate <= hi):
-            break
-        if abs(fn(candidate)) < abs(fr):
-            root = candidate
-        else:
-            break
-    return root
+    return 0.5 * (lo + hi)
 
 
 def _refine_tangency(fn: Callable[[float], float], lo: float, hi: float) -> float:

@@ -66,4 +66,4 @@ class NonFiniteField(NumericalError):
 
 
 class NonConvergence(NumericalError):
-    """Steady-state time marching exceeded its time horizon without settling."""
+    """A steady-state Newton solve met a matrix it cannot resolve or factor, or its cap."""

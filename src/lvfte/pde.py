@@ -8,7 +8,8 @@ of per-point growth rows g, crowding rows k, c_u, c_v, p and q.  Constant
 kinetics give g = (a1, a2), k = (b1, b2), c_u = c1, c_v = c2 and the
 closed-form survivors a1/b1 and a2/b2.  A resource m(x) gives g = m for
 both species, unit crowding, c_u = b, c_v = c and q = 1; its survivors are
-single-species steady states, marched once per diffusivity.
+single-species steady states, solved by Newton's method once per run and
+diffusivity.
 
 Space is discretised on cell centres, ``x_i = x0 + (i + 1/2) dx``, so the
 zero-flux closure is a one-sided difference at each end.  Time stepping is
@@ -315,25 +316,33 @@ def cho_solve_banded(cb_and_lower: Tuple[np.ndarray, bool], b: np.ndarray) -> np
     return x
 
 
-def _diffusion_factor(n: int, dx: float, ds: Sequence[float], h: float) -> Tuple[np.ndarray, bool]:
-    """Factor of the backward-Euler diffusion step (I - h d_k L) w_k = b_k.
+def _diffusion_matrix(n: int, dx: float, ds: Sequence[float], h: float) -> np.ndarray:
+    """Upper band of -h d_k L, one block per diffusivity in ``ds``.
 
-    One block per diffusivity in ``ds``; block k of a flat field of length
-    len(ds) * n, its points k*n to (k+1)*n - 1, diffuses with ``ds[k]``.
-    The block-diagonal matrix is symmetric positive definite (diagonally
-    dominant), so its banded Cholesky factor, passed to ``cho_solve_banded``
-    with the field, serves every step of that size.  The coupling entry
-    between blocks is zero, so the joint factor and solve give bit for bit
-    what separate per-block factors and solves give.
+    Block k of a flat field of length len(ds) * n, its points k*n to
+    (k+1)*n - 1, diffuses with ``ds[k]``; the blocks do not couple.
     """
     ab = np.zeros((2, n * len(ds)))
     for k, d in enumerate(ds):
         r = d * h / (dx * dx)
         lo, hi = k * n, (k + 1) * n
-        ab[1, lo:hi] = 1.0 + 2.0 * r
-        ab[1, lo] = 1.0 + r
-        ab[1, hi - 1] = 1.0 + r
+        ab[1, lo:hi] = 2.0 * r
+        ab[1, lo] = r
+        ab[1, hi - 1] = r
         ab[0, lo + 1 : hi] = -r
+    return ab
+
+
+def _diffusion_factor(n: int, dx: float, ds: Sequence[float], h: float) -> Tuple[np.ndarray, bool]:
+    """Factor of the backward-Euler diffusion step (I - h d_k L) w_k = b_k.
+
+    The matrix is symmetric positive definite (diagonally dominant), so its
+    banded Cholesky factor, passed to ``cho_solve_banded`` with the field,
+    serves every step of that size.  The blocks do not couple, so the joint
+    factor and solve give bit for bit what per-block ones give.
+    """
+    ab = _diffusion_matrix(n, dx, ds, h)
+    ab[1] += 1.0
     return cholesky_banded(ab), False
 
 
@@ -399,58 +408,51 @@ def _make_reaction(rec: _Kinetics) -> Callable[[np.ndarray], np.ndarray]:
     return react
 
 
-STEADY_TOL = 1e-9  # a steady-state march stops once sup|Δw|/dt falls below this
-STEADY_T_MAX = 1e5  # and raises NonConvergence if it has not stopped by this time
+STEADY_TOL = 1e-14  # Newton stops once sup|step| <= this times max(m)
+STEADY_ITERATIONS = 50  # and raises NonConvergence if it has not stopped by then
 
 
 def single_species_steady_state(d: float, m: ResourceField) -> np.ndarray:
     """Positive steady profile of w_t = d w_xx + w (m - w), zero-flux ends.
 
-    Marches the scalar equation with implicit diffusion and explicit
-    reaction; a fixed point of that update solves the discrete steady
-    problem exactly, so the stopping rule sup|Δw|/dt < STEADY_TOL bounds
-    the discrete residual directly.  A march that has not stopped by
-    STEADY_T_MAX raises NonConvergence.  Requires max(m) > 0 (otherwise
-    the only non-negative steady state is zero).
-
-    Profiles are memoised per process by value (d, grid, the bytes of m),
-    so sweeps that revisit a diffusivity do not march again.  Each call
-    returns a fresh copy; a march that fails is not memoised.
+    Solves the discrete steady equation d L w + w (m - w) = 0, whose
+    solutions are fixed points of simulate_pde's step, by Newton's method
+    from the constant max(m): each iteration factors -d L + diag(2 w - m)
+    once and solves it for the step against the residual.  The equation is
+    concave in w and max(m) is a supersolution, so in exact arithmetic the
+    iterates decrease monotonically onto the positive steady state (Pao
+    1992, ch. 3).  Iteration stops once sup|step| <= STEADY_TOL * max(m).
+    A d/dx^2 so large that max(m) falls below its roundoff, a matrix that
+    is not numerically positive definite or finite, or no stop within
+    STEADY_ITERATIONS raises NonConvergence.  Requires max(m) > 0
+    (otherwise the only non-negative steady state is zero).
     """
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParameter("diffusivity must be positive and finite")
-    if m.values.max() <= 0.0:
+    vals = m.values
+    top = float(vals.max())
+    if top <= 0.0:
         raise InvalidParameter("resource must be positive somewhere")
-    return _steady_state(float(d), m.grid, m.values.tobytes()).copy()
-
-
-@functools.lru_cache(maxsize=256)
-def _steady_state(d: float, grid: Grid1D, resource: bytes) -> np.ndarray:
-    vals = np.frombuffer(resource)
-    n, dx = grid.n_x, grid.dx
-
-    dt_cap = min(1.0, 1.0 / float(vals.max()))
-    dt = dt_cap / 4.0
-    w = np.full(n, float(vals.mean()) + 0.1)
-    factor = _diffusion_factor(n, dx, (d,), dt)
-    t = 0.0
-    step = 0
-    while t < STEADY_T_MAX:
-        w_new = cho_solve_banded(factor, w + dt * (vals * w - w * w))
-        rate = float(np.max(np.abs(w_new - w))) / dt
-        w = np.maximum(w_new, 0.0)
-        t += dt
-        step += 1
-        if not math.isfinite(float(w.sum())):
-            raise NonConvergence("steady-state march produced non-finite values")
-        if rate < STEADY_TOL:
-            w.flags.writeable = False
+    dx = m.grid.dx
+    band = _diffusion_matrix(m.grid.n_x, dx, (d,), 1.0)
+    if band[1].max() * np.finfo(float).eps >= top:  # max(m) lost in the roundoff of d L
+        raise NonConvergence(f"single-species steady state: d = {d:g} too large for max(m)")
+    diagonal = band[1] - vals
+    w = np.full(vals.shape, top)
+    for _ in range(STEADY_ITERATIONS):
+        band[1] = diagonal + 2.0 * w
+        try:
+            factor = cholesky_banded(band)
+        except ValueError as exc:  # not positive definite (LinAlgError) or not finite
+            raise NonConvergence(f"single-species steady state: {exc}") from None
+        delta = cho_solve_banded((factor, False), d * laplacian_neumann(w, dx) + w * (vals - w))
+        w = w + delta
+        step = float(np.max(np.abs(delta)))
+        if step <= STEADY_TOL * top:
             return w
-        if step % 64 == 0 and dt < dt_cap:
-            dt = min(dt_cap, dt * 1.5)
-            factor = _diffusion_factor(n, dx, (d,), dt)
     raise NonConvergence(
-        f"single-species steady state not reached by t={STEADY_T_MAX:g} (rate {rate:.3e})"
+        f"single-species steady state not reached by Newton iteration {STEADY_ITERATIONS}"
+        f" (last step {step:.3e})"
     )
 
 
@@ -575,7 +577,7 @@ def simulate_pde(
 
     @functools.lru_cache(maxsize=None)
     def reference(k: int) -> Optional[np.ndarray]:
-        """Row k's profile, built once; a march that fails sets ref_note."""
+        """Row k's profile, built once per run; a solve that fails sets ref_note."""
         nonlocal ref_note
         try:
             return _reference(rec, diffusivities[k], k)

@@ -135,12 +135,47 @@ class TestSingleSpeciesSteadyState:
         assert theta == pytest.approx(np.full(32, 1.3), abs=1e-7)
 
     def test_discrete_steady_equation_residual(self):
+        # the reference is the discrete steady state to roundoff, measured
+        # against the size of its two terms, at every scale of the resource
+        shapes = {
+            "logistic": lambda x: x * (1.0 - x),
+            "sin": lambda x: np.maximum(0.0, np.sin(3.0 * np.pi * x)),
+            "spike": lambda x: np.exp(-(((x - 0.3) / 0.02) ** 2)),
+        }
+        for name, shape in shapes.items():
+            for scale in (1.0, 1e-3, 1e-6):
+                for n in (16, 64, 256):
+                    g = Grid1D(0.0, 1.0, n)
+                    m = ResourceField(g, scale * shape(g.centers()))
+                    top = m.values.max()
+                    for d in (1e-6, 1e-4, 1e-2, 1.0):
+                        theta = single_species_steady_state(d, m)
+                        resid = d * laplacian_neumann(theta, g.dx) + theta * (m.values - theta)
+                        bound = 1e-12 * top * (top + 4.0 * d / g.dx**2)
+                        assert np.max(np.abs(resid)) <= bound, (name, scale, n, d)
+
+    def test_ill_conditioned_resource_converges_or_raises_nonconvergence(self):
+        # max m = 2.5e-10 against 4 d / dx^2 = 1.6e10: the Newton matrix is
+        # not numerically positive definite, which must surface as the typed
+        # error, never as numpy's LinAlgError
         g = Grid1D(0.0, 1.0, 64)
-        m = logistic_resource(g)
-        for d in (1e-4, 1e-3, 1e-2):
+        x = g.centers()
+        m = ResourceField(g, 1e-9 * x * (1.0 - x))
+        d = 1e6
+        try:
             theta = single_species_steady_state(d, m)
-            resid = d * laplacian_neumann(theta, g.dx) + theta * (m.values - theta)
-            assert np.max(np.abs(resid)) < 1e-7, d
+        except NonConvergence:
+            return
+        top = m.values.max()
+        resid = d * laplacian_neumann(theta, g.dx) + theta * (m.values - theta)
+        assert np.max(np.abs(resid)) <= 1e-12 * top * (top + 4.0 * d / g.dx**2)
+
+    def test_unresolvable_diffusivity_raises_nonconvergence(self):
+        # 2 d / dx^2 times the float epsilon above max(m): the profile's mean
+        # is lost in roundoff (d = 1e31 once returned one 48% of max(m) off)
+        g = Grid1D(0.0, 1.0, 16)
+        with pytest.raises(NonConvergence, match="too large"):
+            single_species_steady_state(1e31, ResourceField(g, g.centers()))
 
     def test_profile_bounded_by_resource_range(self):
         g = Grid1D(0.0, 1.0, 64)
@@ -929,72 +964,50 @@ def test_every_factorisation_and_solve_goes_through_the_module_names(monkeypatch
                  PdeOptions(dt=0.5))
     assert calls == {"factor": 1, "solve": 40}
 
-    # the steady-state march: one factor per _diffusion_factor call, and more
-    # than one (dt grows every 64 steps)
-    monkeypatch.setattr(lvfte_pde, "_diffusion_factor",
-                        counted("built", lvfte_pde._diffusion_factor))
-    calls.update(factor=0, solve=0, built=0)
-    lvfte_pde._steady_state.cache_clear()
-    single_species_steady_state(2.5e-3, logistic_resource(Grid1D(0.0, 1.0, 64)))
-    assert calls["factor"] == calls["built"] > 1
-    assert calls["solve"] > 64
+    # the steady state: one factor and one solve per Newton iteration, and
+    # more than one iteration from the constant max(m)
+    calls.update(factor=0, solve=0)
+    m = logistic_resource(Grid1D(0.0, 1.0, 64))
+    theta = single_species_steady_state(2.5e-3, m)
+    assert calls["factor"] == calls["solve"] > 1
+    assert calls["factor"] <= lvfte_pde.STEADY_ITERATIONS
+    monkeypatch.undo()
+    assert single_species_steady_state(2.5e-3, m).tobytes() == theta.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# Memoised single-species steady states
+# Steady-state references: built once per run, never kept across runs
 # ---------------------------------------------------------------------------
 
 
 class TestSteadyStateCache:
-    def test_cached_profile_equals_a_fresh_march(self):
-        g = Grid1D(0.0, 1.0, 64)
-        m = logistic_resource(g)
-        first = single_species_steady_state(2.5e-3, m)
-        again = single_species_steady_state(2.5e-3, m)
-        fresh = lvfte_pde._steady_state.__wrapped__(2.5e-3, g, m.values.tobytes())
-        assert first.tobytes() == fresh.tobytes()
-        assert again.tobytes() == fresh.tobytes()
-
-    def test_key_is_the_value_not_the_object(self):
-        g = Grid1D(0.0, 1.0, 64)
-        one = single_species_steady_state(3.5e-3, logistic_resource(g))
-        hits = lvfte_pde._steady_state.cache_info().hits
-        other = single_species_steady_state(3.5e-3, logistic_resource(Grid1D(0.0, 1.0, 64)))
-        assert lvfte_pde._steady_state.cache_info().hits == hits + 1
-        assert one.tobytes() == other.tobytes()
-
-    def test_mutating_the_result_does_not_poison_the_cache(self):
-        g = Grid1D(0.0, 1.0, 64)
-        m = logistic_resource(g)
-        first = single_species_steady_state(4.5e-3, m)
-        want = first.copy()
-        first[:] = -1.0
-        assert single_species_steady_state(4.5e-3, m).tobytes() == want.tobytes()
-
     def test_failures_are_not_cached(self, monkeypatch):
-        monkeypatch.setattr(lvfte_pde, "STEADY_T_MAX", 1.0)
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)
-        for _ in range(2):
-            with pytest.raises(NonConvergence):
-                single_species_steady_state(5.5e-3, m)
+        monkeypatch.setattr(lvfte_pde, "STEADY_ITERATIONS", 1)
+        with pytest.raises(NonConvergence, match="not reached by Newton iteration 1"):
+            single_species_steady_state(5.5e-3, m)
+        monkeypatch.undo()
+        theta = single_species_steady_state(5.5e-3, m)
+        assert np.all(np.isfinite(theta)) and theta.min() > 0.0
 
     def test_nonconvergence_reaches_the_reference_note(self, monkeypatch):
-        # the memo key holds no march length, so drop profiles of full marches
-        lvfte_pde._steady_state.cache_clear()
-        monkeypatch.setattr(lvfte_pde, "STEADY_T_MAX", 1.0)
+        monkeypatch.setattr(lvfte_pde, "STEADY_ITERATIONS", 1)
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)
         half = m.values / 2.0 + 0.01
-        # criterion 6 cell (7, 15) at p = 1: sup v < TOL_OUT by its UWins
-        # check at t = 1700, where u's profile is needed
+        # criterion 6 cell (7, 15) at p = 1 ends UWins at its t = 1000 check,
+        # a verdict that needs u's profile
         params = PdeParams(AXIS[7], AXIS[15], b=0.999, c=0.999, p=1.0, m=m)
         opts = PdeOptions(dt=0.5, check_interval=100.0)
-        for _ in range(2):  # the second run must fail the same way
-            _, outcome = simulate_pde(params, PdeState(g, half, half), 1700.0, opts)
-            assert outcome.label == UNDECIDED
-            assert outcome.note.startswith("no verdict by t=1700; reference profile unavailable")
-            assert "not reached by t=1" in outcome.note
+        _, outcome = simulate_pde(params, PdeState(g, half, half), 1700.0, opts)
+        assert outcome.label == UNDECIDED
+        assert outcome.note.startswith("no verdict by t=1700; reference profile unavailable")
+        assert "not reached by Newton iteration 1" in outcome.note
+        # the failure belonged to that run: the next run builds its own profile
+        monkeypatch.undo()
+        _, outcome = simulate_pde(params, PdeState(g, half, half), 1700.0, opts)
+        assert (outcome.label, outcome.t_reached) == (U_WINS, 1000.0)
 
 
 # ---------------------------------------------------------------------------
