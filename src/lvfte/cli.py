@@ -92,10 +92,9 @@ def _write_outputs(out_dir: Path, tables: _Tables, summary: Dict[str, object]) -
 
 
 # The keys each command reads, per model kind it takes.  main rejects any
-# other kind, and any key outside the row, before the command runs.  A read
-# that depends on a flag still counts (scan.resolution and scan.samples under
-# --resolution).  separatrix.threshold_samples is read and checked at every
-# exponent, though threshold.csv is written only at 0 < p < 1 = q.
+# other kind, and any key outside the row, before the command runs.
+# separatrix.threshold_samples is read and checked at every exponent, though
+# threshold.csv is written only at 0 < p < 1 = q.
 _ALWAYS = {"run": ("name", "seed"), "model": ("kind",)}
 _KINETICS = {"kinetics": tuple(SCHEMA["kinetics"])}
 _RESOURCE = {"resource": tuple(SCHEMA["resource"])}
@@ -164,7 +163,7 @@ def cmd_equilibria(cfg: ExperimentConfig, args) -> _Outputs:
         listing.append(dict(zip(header, values)))
     interior = sum(1 for eq in eqs if eq.kind.value == "Interior")
     return {
-        "regime": classify_regime(params).tag,
+        "regime": classify_regime(params).value,
         "count": len(eqs),
         "interior_count": interior,
         "equilibria": listing,
@@ -283,9 +282,7 @@ def _scan_diffusion(cfg: ExperimentConfig, args) -> _Outputs:
     n_x = int(cfg.get("scan", "n_x", 64))
     grid = cfg.build_grid(n_x_override=n_x)
     template = cfg.build_pde_params(grid, d1=1.0, d2=1.0)
-    resolution = args.resolution
-    if resolution is None:
-        resolution = int(cfg.get("scan", "resolution", 16))
+    resolution = int(cfg.get("scan", "resolution", 16))
     d1_values = log_axis(
         float(cfg.require("scan", "d1_min")),
         float(cfg.require("scan", "d1_max")),
@@ -342,7 +339,7 @@ def _scan_window(cfg: ExperimentConfig, args) -> _Outputs:
         template,
         float(cfg.require("scan", "c1_min")),
         float(cfg.require("scan", "c1_max")),
-        int(cfg.get("scan", "samples", 64)) if args.resolution is None else args.resolution,
+        int(cfg.get("scan", "samples", 64)),
         float(cfg.require("scan", "p_exponent")),
         float(cfg.require("scan", "q_exponent")),
     )
@@ -396,12 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
                 help="worker processes (default: all cores)",
-            )
-            sp.add_argument(
-                "--resolution",
-                type=int,
-                default=None,
-                help="override the scan resolution / sample count",
             )
     return parser
 

@@ -1,12 +1,10 @@
 """Equilibrium location, Jacobians, and linear stability classification.
 
-Interior equilibria are intersections of the two nullclines.  With at least
-one exponent equal to 1 the intersection problem reduces to the roots of a
-smooth scalar function on a bounded interval; roots are located by a dense
-sign scan over one array, refined by bisection, and polished with Newton
-steps.  For mixed fractional exponents (p < 1 and q < 1) the same machinery
-runs on the composition H(u) = u - g1(f(u)), which vanishes exactly at
-nullcline crossings.
+Interior equilibria are intersections of the two nullclines.  For every
+exponent pair they are the roots of one scalar function on a bounded
+interval, the composition H(u) = u - g1(f(u)) on (0, a1/b1), which vanishes
+exactly at nullcline crossings; roots are located by a dense sign scan over
+one array and refined by bisection.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -126,14 +124,8 @@ def jacobian(params: KineticParams, at: State2) -> np.ndarray:
         raise SingularLinearization(
             f"v^(q-1) undefined at v=0 for q={params.q} < 1"
         )
-    if params.p == 1.0:
-        cross_u = params.c1 * v
-    else:
-        cross_u = params.p * params.c1 * math.pow(u, params.p - 1.0) * v
-    if params.q == 1.0:
-        cross_v = params.c2 * u
-    else:
-        cross_v = params.q * params.c2 * u * math.pow(v, params.q - 1.0)
+    cross_u = params.p * params.c1 * math.pow(u, params.p - 1.0) * v
+    cross_v = params.q * params.c2 * u * math.pow(v, params.q - 1.0)
     j11 = params.a1 - 2.0 * params.b1 * u - cross_u
     j12 = -params.c1 * safe_pow(u, params.p)
     j21 = -params.c2 * safe_pow(v, params.q)
@@ -232,11 +224,10 @@ def scalar_roots(fn: Callable[[float], float], lo: float, hi: float) -> List[flo
     """All roots of a smooth scalar function on the open interval (lo, hi).
 
     fn takes a float or, elementwise, a numpy array.  Dense sign scan of
-    fn over one array of SCAN_POINTS points, then bisection + Newton
-    polish on floats; grazing double roots (no sign change, |fn| dipping
-    to ~0) are looked for at the discrete local minima of |fn| whose
-    three-point parabola dips to ~0, refined by golden section and reported
-    once.
+    fn over one array of SCAN_POINTS points, then bisection on floats;
+    grazing double roots (no sign change, |fn| dipping to ~0) are looked
+    for at the discrete local minima of |fn| whose three-point parabola
+    dips to ~0, refined by golden section and reported once.
     """
     xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
     fs = np.asarray(fn(xs), dtype=float)
@@ -269,54 +260,37 @@ def scalar_roots(fn: Callable[[float], float], lo: float, hi: float) -> List[flo
     return deduped
 
 
-def _crossing(params: KineticParams) -> Tuple[Callable, float, Callable[[float], State2]]:
-    """The function whose roots on (0, hi) locate the nullcline crossings,
-    hi, and the map from such a root to its crossing point.
+_F_U = NullclineSide(Species.U, "u")
+_G1_V = NullclineSide(Species.V, "v")
 
-    The function takes a float or a numpy array, as scalar_roots needs.
-    """
-    f_u = NullclineSide(Species.U, "u")
-    g_u = NullclineSide(Species.V, "u")
-    f1_v = NullclineSide(Species.U, "v")
-    g1_v = NullclineSide(Species.V, "v")
-    if params.q == 1.0:
-        def fn(u):
-            return nullcline_value(params, f_u, u) - nullcline_value(params, g_u, u)
 
-        return fn, params.a1 / params.b1, lambda u: State2(u, nullcline_value(params, g_u, u))
-    if params.p == 1.0:
-        def fn(v):
-            return nullcline_value(params, f1_v, v) - nullcline_value(params, g1_v, v)
+def _composition(params: KineticParams) -> Callable:
+    """H(u) = u - g1(max(f(u), 0)) on a float or, elementwise, a numpy array."""
 
-        return fn, params.a1 / params.c1, lambda v: State2(nullcline_value(params, f1_v, v), v)
-
-    def fn(u):
-        v = nullcline_value(params, f_u, u)
-        # Outside the admissible strip (v < 0) g1(0) = 0, so fn is u: no crossing.
+    def composition(u):
+        v = nullcline_value(params, _F_U, u)
+        # Outside the admissible strip (v < 0) g1(0) = 0, so H is u: no crossing.
         v = np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)
-        return u - nullcline_value(params, g1_v, v)
+        return u - nullcline_value(params, _G1_V, v)
 
-    return fn, params.a1 / params.b1, lambda u: State2(u, nullcline_value(params, f_u, u))
+    return composition
 
 
 def interior_equilibria(params: KineticParams) -> List[Equilibrium]:
     """All strictly positive fixed points, sorted by u-coordinate.
 
-    With q = 1 the v-nullcline is the line v = g(u) and roots of
-    f(u) - g(u) are scanned over u in (0, a1/b1); with p = 1 the roles swap
-    and f1(v) - g1(v) is scanned over v in (0, a1/c1).  The mixed case
-    p < 1, q < 1 is handled by the composition H(u) = u - g1(f(u)) on
-    (0, a1/b1).  Grazing (tangential) intersections are reported once; their
-    vanishing Jacobian determinant classifies them NonHyperbolic.
+    For every exponent pair the roots of the composition H(u) = u - g1(f(u))
+    on (0, a1/b1) are scanned, and each root u gives the crossing (u, f(u)).
+    Grazing (tangential) intersections are reported once; their vanishing
+    Jacobian determinant classifies them NonHyperbolic.
     """
-    fn, hi, crossing = _crossing(params)
-    out = [
+    roots = scalar_roots(_composition(params), 0.0, params.a1 / params.b1)  # sorted
+    points = [State2(u, nullcline_value(params, _F_U, u)) for u in roots]
+    return [
         _classified(params, point, EquilibriumKind.INTERIOR)
-        for point in map(crossing, scalar_roots(fn, 0.0, hi))
+        for point in points
         if point.u > 0.0 and point.v > 0.0
     ]
-    out.sort(key=lambda e: e.point.u)
-    return out
 
 
 def all_equilibria(params: KineticParams) -> List[Equilibrium]:

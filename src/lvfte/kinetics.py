@@ -140,10 +140,6 @@ class Regime(Enum):
     STRONG_COMPETITION = "StrongCompetition"
     DEGENERATE = "Degenerate"
 
-    @property
-    def tag(self) -> str:
-        return self.value
-
 
 def _ties(x: float, y: float) -> bool:
     return abs(x - y) <= TIE_TOL * max(abs(x), abs(y))

@@ -231,10 +231,6 @@ class Trajectory:
     terminal: Optional[Attractor] = None
 
     @property
-    def times(self) -> List[float]:
-        return [t for t, _ in self.samples]
-
-    @property
     def final_state(self) -> State2:
         return self.samples[-1][1]
 

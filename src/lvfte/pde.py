@@ -5,11 +5,11 @@ kinetics used by the ODE layer, with zero-flux (reflecting) boundaries:
 u_t = d1 u_xx + u (g_u - k_u u) - c_u u^p v, and v alike with d2, g_v, k_v
 and c_v u v^q.  Both flavours of :class:`PdeParams` resolve into one record
 of per-point growth rows g, crowding rows k, c_u, c_v, p and q.  Constant
-kinetics give g = (a1, a2), k = (b1, b2), c_u = c1, c_v = c2 and the
-closed-form survivors a1/b1 and a2/b2.  A resource m(x) gives g = m for
-both species, unit crowding, c_u = b, c_v = c and q = 1; its survivors are
-single-species steady states, solved by Newton's method once per run and
-diffusivity.
+kinetics give g = (a1, a2), k = (b1, b2), c_u = c1, c_v = c2; a resource
+m(x) gives g = m for both species, unit crowding, c_u = b, c_v = c and
+q = 1.  Either way row k's survivor is the single-species steady state of
+its growth row at its diffusivity over its crowding, solved by Newton's
+method once per run and row.
 
 Space is discretised on cell centres, ``x_i = x0 + (i + 1/2) dx``, so the
 zero-flux closure is a one-sided difference at each end.  Time stepping is
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class Grid1D:
     @property
     def dx(self) -> float:
         return (self.x1 - self.x0) / self.n_x
-
-    @property
-    def length(self) -> float:
-        return self.x1 - self.x0
 
     def centers(self) -> np.ndarray:
         """Cell-centre coordinates, shape (n_x,)."""
@@ -352,8 +348,6 @@ class _Kinetics:
 
     ``growth`` and ``crowding`` are full (2, n) rows, u's first: at n_x = 64
     a broadcast (2, 1) column makes the logistic term about 1.7x slower.
-    ``survivors`` holds the closed-form survivor rows, or for a resource the
-    field whose single-species steady states are the survivors.
     """
 
     growth: np.ndarray
@@ -362,7 +356,6 @@ class _Kinetics:
     c_v: float
     p: float
     q: float
-    survivors: Union[np.ndarray, ResourceField]
 
 
 def _resolve(params: PdeParams, n: int) -> _Kinetics:
@@ -370,11 +363,10 @@ def _resolve(params: PdeParams, n: int) -> _Kinetics:
     kin = params.kinetics
     if kin is None:
         growth = np.stack((params.m.values, params.m.values))
-        return _Kinetics(growth, np.ones_like(growth), params.b, params.c,
-                         params.p, 1.0, params.m)
+        return _Kinetics(growth, np.ones_like(growth), params.b, params.c, params.p, 1.0)
     growth = np.repeat([[kin.a1], [kin.a2]], n, axis=1)
     crowding = np.repeat([[kin.b1], [kin.b2]], n, axis=1)
-    return _Kinetics(growth, crowding, kin.c1, kin.c2, kin.p, kin.q, growth / crowding)
+    return _Kinetics(growth, crowding, kin.c1, kin.c2, kin.p, kin.q)
 
 
 def _make_reaction(rec: _Kinetics) -> Callable[[np.ndarray], np.ndarray]:
@@ -454,17 +446,6 @@ def single_species_steady_state(d: float, m: ResourceField) -> np.ndarray:
         f"single-species steady state not reached by Newton iteration {STEADY_ITERATIONS}"
         f" (last step {step:.3e})"
     )
-
-
-def _reference(rec: _Kinetics, d: float, k: int) -> np.ndarray:
-    """Row k's single-survivor profile for exclusion verdicts.
-
-    The record's closed form, else the single-species steady state of the
-    record's resource at row k's diffusivity ``d``.
-    """
-    if isinstance(rec.survivors, ResourceField):
-        return single_species_steady_state(d, rec.survivors)
-    return rec.survivors[k]
 
 
 def _default_dt(rec: _Kinetics) -> float:
@@ -577,10 +558,16 @@ def simulate_pde(
 
     @functools.lru_cache(maxsize=None)
     def reference(k: int) -> Optional[np.ndarray]:
-        """Row k's profile, built once per run; a solve that fails sets ref_note."""
+        """Row k's profile, built once per run; a solve that fails sets ref_note.
+
+        k w solves W_t = d W_xx + W (g - W) when w solves w_t = d w_xx +
+        w (g - k w).  A constant row's Newton start g has zero residual, so
+        the profile is the closed form g / k bit for bit.
+        """
         nonlocal ref_note
         try:
-            return _reference(rec, diffusivities[k], k)
+            growth = ResourceField(grid, rec.growth[k])
+            return single_species_steady_state(diffusivities[k], growth) / rec.crowding[k]
         except (NonConvergence, InvalidParameter) as exc:
             ref_note = f"reference profile unavailable: {exc}"
             return None

@@ -79,14 +79,6 @@ class OutcomeGrid:
     def count(self, label: str) -> int:
         return sum(row.count(label) for row in self.labels)
 
-    def cells(self) -> List[Tuple[float, float, str]]:
-        """Flat (d1, d2, label) listing in row-major order."""
-        out = []
-        for i, d1 in enumerate(self.d1_values):
-            for j, d2 in enumerate(self.d2_values):
-                out.append((d1, d2, self.labels[i][j]))
-        return out
-
 
 def initial_state_for_policy(template: PdeParams, grid: Grid1D, offset: float) -> PdeState:
     """Build the shared initial fields for a sweep ("half-resource").

@@ -361,27 +361,6 @@ class TestScanCommand:
         for name in ("summary.json", "grid.csv"):
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
-    def test_resolution_flag_overrides_the_axes(self, tmp_path):
-        cfg = tmp_path / "scan.ini"
-        cfg.write_text(TINY_SCAN)
-        out = tmp_path / "out"
-        code = main(
-            [
-                "scan",
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-                "--workers",
-                "1",
-                "--resolution",
-                "1",
-            ]
-        )
-        assert code == 0
-        assert read_summary(out)["results"]["resolution"] == 1
-        assert len(read_csv(out / "grid.csv")) == 2
-
     def test_axis_values_round_trip_through_csv(self, tmp_path):
         cfg = tmp_path / "scan.ini"
         cfg.write_text(TINY_SCAN)
@@ -400,8 +379,8 @@ class TestScanCommand:
                 str(CONFIGS / "scan_exponent_window.ini"),
                 "--out",
                 str(out),
-                "--resolution",
-                "6",
+                "--set",
+                "scan.samples=6",
             ]
         )
         assert code == 0
@@ -423,7 +402,7 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--resolution"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_scan_flags_are_rejected_by_other_commands(self, tmp_path, flag):
         with pytest.raises(SystemExit) as info:
             main(
@@ -438,6 +417,14 @@ class TestErrorPaths:
                 ]
             )
         assert info.value.code == 2
+
+    def test_scan_has_no_resolution_flag(self, tmp_path):
+        # scan.resolution and scan.samples are set with --set
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--config", str(CONFIGS / "scan_exponent_window.ini"),
+                  "--out", str(tmp_path / "out"), "--resolution", "6"])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_override_is_a_config_error(self, tmp_path):
         code = main(
@@ -527,8 +514,8 @@ class TestErrorPaths:
         self, tmp_path, capsys, command, recipe, sets
     ):
         args = [command, "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out")]
-        if command == "scan":  # small and serial, should the key get through
-            args += ["--resolution", "2", "--workers", "1"]
+        if recipe == "scan_outcome_map":  # small and serial, should the key get through
+            args += ["--set", "scan.resolution=2", "--workers", "1"]
         for item in sets:
             args += ["--set", item]
         assert main(args) == 2
@@ -544,11 +531,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("recipe", ["scan_outcome_map", "scan_exponent_window"])
     def test_zero_resolution_is_not_ignored(self, tmp_path, capsys, recipe):
-        # only a diffusion scan takes --workers
+        # only a diffusion scan takes --workers; the c1 window's resolution is its samples
         workers = ["--workers", "1"] if recipe == "scan_outcome_map" else []
+        key = "resolution" if recipe == "scan_outcome_map" else "samples"
         code = main(
             ["scan", "--config", str(CONFIGS / f"{recipe}.ini"), "--out", str(tmp_path / "out"),
-             *workers, "--resolution", "0"]
+             *workers, "--set", f"scan.{key}=0"]
         )
         assert code == 2
         message = {"scan_outcome_map": "log axis requires n >= 1",
@@ -561,14 +549,14 @@ class TestErrorPaths:
         # a zero scan.n_x once fell back to domain.n_x or 128 cells
         code = main(
             ["scan", "--config", str(CONFIGS / "scan_outcome_map.ini"), "--out", str(tmp_path / "out"),
-             "--workers", "1", "--resolution", "1", "--set", f"scan.n_x={n_x}",
+             "--workers", "1", "--set", "scan.resolution=1", "--set", f"scan.n_x={n_x}",
              "--set", "scan.t_end=1"]
         )
         assert code == 2
         assert "error: grid requires n_x >= 8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3", "--resolution", "4"]])
+    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3", "--set", "scan.samples=4"]])
     def test_workers_is_rejected_by_a_c1_window_scan(self, tmp_path, capsys, flags):
         code = main(
             ["scan", "--config", str(CONFIGS / "scan_exponent_window.ini"),

@@ -22,7 +22,7 @@ from lvfte import (
 from lvfte.equilibria import (
     DEDUPE_FRACTION,
     SCAN_POINTS,
-    _crossing,
+    _composition,
     _refine_bracket,
     _refine_tangency,
     scalar_roots,
@@ -210,6 +210,63 @@ class TestInteriorEquilibria:
         assert eqs[0].point.u == pytest.approx(u_star, rel=1e-6)
         assert eqs[0].point.v == pytest.approx(v_star, rel=1e-6)
 
+    def test_composition_matches_the_line_crossing_scans(self):
+        # With q = 1 (or p = 1) a crossing is also a root of f(u) - g(u) on
+        # (0, a1/b1) (of f1(v) - g1(v) on (0, a1/c1)), the scans that the one
+        # composition replaced; located here by a sign scan and bisection
+        rng = np.random.default_rng(27)
+        found = 0
+        for i in range(1200):
+            a1, a2 = rng.uniform(0.2, 3.0, 2)
+            b1, b2 = rng.uniform(0.2, 2.0, 2)
+            c1, c2 = rng.uniform(0.1, 3.0, 2)
+            e = rng.uniform(0.05, 1.0)
+            p, q = ((e, 1.0), (1.0, e), (1.0, 1.0))[i % 3]
+            want = _line_crossings(a1, a2, b1, b2, c1, c2, p, q)
+            got = interior_equilibria(KineticParams(a1, a2, b1, b2, c1, c2, p, q))
+            assert len(got) == len(want)
+            for eq, point in zip(got, want):
+                assert eq.point == pytest.approx(point, rel=1e-12, abs=0.0)
+            found += len(want)
+        assert found > 600  # the draws do cross
+
+
+def _line_crossings(a1, a2, b1, b2, c1, c2, p, q):
+    """Interior crossings, sorted by u, from the scan in a line's coordinate.
+
+    q = 1: roots of f(u) - g(u), g(u) = (a2 - c2 u) / b2 the line.  p = 1:
+    roots of f1(v) - g1(v), f1(v) = (a1 - c1 v) / b1 the line.  A sign scan
+    of SCAN_POINTS points, then bisection of every bracket to machine width.
+    """
+    if q == 1.0:
+        def fn(u):
+            return u ** (1.0 - p) * (a1 - b1 * u) / c1 - (a2 - c2 * u) / b2
+
+        def point(u):
+            return u, (a2 - c2 * u) / b2
+
+        hi = a1 / b1
+    else:
+        def fn(v):
+            return (a1 - c1 * v) / b1 - v ** (1.0 - q) * (a2 - b2 * v) / c2
+
+        def point(v):
+            return (a1 - c1 * v) / b1, v
+
+        hi = a1 / c1
+    xs = np.linspace(0.0, hi, SCAN_POINTS + 2)[1:-1]
+    fs = fn(xs)
+    brackets = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
+    lo, up, flo = xs[brackets], xs[brackets + 1], fs[brackets]
+    for _ in range(100):
+        mid = 0.5 * (lo + up)
+        fmid = fn(mid)
+        left = np.sign(fmid) == np.sign(flo)
+        lo, flo, up = np.where(left, mid, lo), np.where(left, fmid, flo), np.where(left, up, mid)
+    roots = np.concatenate((xs[fs == 0.0], 0.5 * (lo + up)))
+    points = [point(float(x)) for x in roots]
+    return sorted((u, v) for u, v in points if u > 0.0 and v > 0.0)
+
 
 class TestAllEquilibria:
     def test_order_boundary_first_then_interior_by_u(self):
@@ -290,16 +347,16 @@ class TestScalarRoots:
 
     @pytest.mark.parametrize("branch", ["q=1", "p=1", "mixed"])
     def test_array_scan_matches_pointwise_evaluation(self, branch):
-        # The crossing function of each branch of interior_equilibria, scanned
-        # as one array, must bracket the same roots as evaluating it point by
-        # point, so the refined roots agree bit for bit.
+        # The composition interior_equilibria scans, under each kind of
+        # exponent pair, scanned as one array must bracket the same roots as
+        # evaluating it point by point, so the refined roots agree bit for bit.
         rng = np.random.default_rng({"q=1": 11, "p=1": 12, "mixed": 13}[branch])
         found = 0
         for _ in range(100):
             p, q = rng.uniform(0.1, 0.95, 2)
             p, q = {"q=1": (p, 1.0), "p=1": (1.0, q), "mixed": (p, q)}[branch]
             k = KineticParams(*rng.uniform(0.3, 3.0, 6), p=p, q=q)
-            fn, hi, _ = _crossing(k)
+            fn, hi = _composition(k), k.a1 / k.b1
             xs = np.linspace(0.0, hi, SCAN_POINTS + 2)[1:-1]
             pointwise = np.array([fn(float(x)) for x in xs])
             assert np.array_equal(np.sign(fn(xs)), np.sign(pointwise))

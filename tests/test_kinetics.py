@@ -121,8 +121,8 @@ class TestRegimes:
         assert classify_regime(k(1, 1, 2, 1, 1, 1)) is Regime.DEGENERATE
 
     def test_tags_are_stable_strings(self):
-        assert classify_regime(k(1.8, 1, 0.5, 3, 1, 1.8)).tag == "ExclusionUWins"
-        assert classify_regime(k(1, 1, 2, 1, 1, 2)).tag == "StrongCompetition"
+        assert classify_regime(k(1.8, 1, 0.5, 3, 1, 1.8)).value == "ExclusionUWins"
+        assert classify_regime(k(1, 1, 2, 1, 1, 2)).value == "StrongCompetition"
 
     @given(scale=st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)

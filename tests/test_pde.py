@@ -54,7 +54,6 @@ class TestGrid1D:
         assert xs[0] == pytest.approx(1 / 16)
         assert xs[-1] == pytest.approx(15 / 16)
         assert g.dx == pytest.approx(1 / 8)
-        assert g.length == pytest.approx(1.0)
 
     def test_rejects_tiny_or_inverted_domains(self):
         with pytest.raises(InvalidParameter):
@@ -814,8 +813,10 @@ def test_resolved_record_matches_the_per_flavour_formulas(name, params):
         survivors = tuple(single_species_steady_state(d, params.m) for d in (params.d1, params.d2))
     assert (rec.p < 1.0, rec.q < 1.0) == clampable
     assert repr(lvfte_pde._default_dt(rec)) == repr(dt)
+    # simulate_pde's one survivor rule; for constant kinetics, the closed form
     for k, d in enumerate((params.d1, params.d2)):
-        assert lvfte_pde._reference(rec, d, k).tobytes() == survivors[k].tobytes()
+        got = single_species_steady_state(d, ResourceField(g, rec.growth[k])) / rec.crowding[k]
+        assert got.tobytes() == survivors[k].tobytes()
     state = initial_state_for_policy(params, g, offset)
     assert state.u.tobytes() == state.v.tobytes() == half.tobytes()
 
@@ -981,6 +982,25 @@ def test_every_factorisation_and_solve_goes_through_the_module_names(monkeypatch
 
 
 class TestSteadyStateCache:
+    def test_each_row_builds_its_profile_once_per_run(self, monkeypatch):
+        # v is below TOL_OUT from the first check on, and u matches its
+        # profile only at t = 70: all 14 checks ask for u's profile
+        built = []
+        solve = lvfte_pde.single_species_steady_state
+
+        def counted(d, m):
+            built.append(d)
+            return solve(d, m)
+
+        monkeypatch.setattr(lvfte_pde, "single_species_steady_state", counted)
+        g = Grid1D(0.0, 1.0, 16)
+        params = PdeParams(0.01, 0.02, kinetics=KineticParams(
+            a1=0.1, b1=1, c1=0.5, a2=0.01, b2=1, c2=1))
+        init = PdeState(g, np.full(16, 0.05), np.full(16, 1e-6))
+        _, outcome = simulate_pde(params, init, 200.0, PdeOptions(dt=0.1, check_interval=5.0))
+        assert (outcome.label, outcome.t_reached) == (U_WINS, 70.0)
+        assert built == [0.01]
+
     def test_failures_are_not_cached(self, monkeypatch):
         g = Grid1D(0.0, 1.0, 64)
         m = logistic_resource(g)

@@ -87,10 +87,8 @@ class TestScanDiffusion:
         assert isinstance(result, OutcomeGrid)
         assert result.labels == ((U_WINS, U_WINS), (U_WINS, U_WINS))
         assert result.count(U_WINS) == 4
-        cells = result.cells()
-        assert len(cells) == 4
-        assert cells[0][:2] == (result.d1_values[0], result.d2_values[0])
-        assert cells[1][:2] == (result.d1_values[0], result.d2_values[1])
+        assert len(result.labels) == len(result.d1_values) == 2
+        assert all(len(row) == len(result.d2_values) == 2 for row in result.labels)
 
     def test_deterministic_across_runs(self):
         assert tiny_scan() == tiny_scan()
